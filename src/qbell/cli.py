@@ -25,6 +25,27 @@ __all__ = ["main", "entry", "build_parser", "parse_rational"]
 
 _RATIONAL_SYNTAX = re.compile(r"^[+-]?\d+(/\d+)?$")
 
+# Functions are looked up at call time, so a module attribute patched after
+# import (a test double, a tracer) is the one that runs.
+_SERIES = {
+    "euler": lambda order: series.euler_product(order),
+    "G": lambda order: series.series_g(order),
+    "H": lambda order: series.series_h(order),
+}
+
+# verify targets in `verify all` order: name, help, size flag, its default
+# under `verify all`, and the report it runs.
+_VERIFY_TARGETS = (
+    ("theorem", "Bell-polynomial identity for n! p(7n+5)", "--max-n", 64,
+     lambda args: identity.verify_theorem(args.max_n)),
+    ("eq2", "series identity for p(5k+4)", "--order", 200,
+     lambda args: series.verify_p5k4_identity(args.order)),
+    ("eq3", "series identity for p(7n+5)", "--order", 200,
+     lambda args: series.verify_p7n5_identity(args.order)),
+    ("congruences", "p(5k+4), p(7k+5), p(11k+6) divisibility", "--max-k", 1000,
+     lambda args: identity.verify_congruences(args.max_k)),
+)
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse "num" or "num/den" with an optional sign; no decimal points."""
@@ -65,34 +86,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "series", help="print a truncated series, one coefficient per line"
     )
-    p.add_argument("which", choices=("euler", "G", "H"))
+    p.add_argument("which", choices=tuple(_SERIES))
     p.add_argument("--order", type=int, required=True)
 
     v = sub.add_parser("verify", help="run a verification report (JSON on stdout)")
     vsub = v.add_subparsers(dest="target", required=True)
-
-    q = vsub.add_parser("theorem", help="Bell-polynomial identity for n! p(7n+5)")
-    q.add_argument("--max-n", type=int, required=True, dest="max_n")
-
-    q = vsub.add_parser("eq2", help="series identity for p(5k+4)")
-    q.add_argument("--order", type=int, required=True)
-
-    q = vsub.add_parser("eq3", help="series identity for p(7n+5)")
-    q.add_argument("--order", type=int, required=True)
-
-    q = vsub.add_parser("congruences", help="p(5k+4), p(7k+5), p(11k+6) divisibility")
-    q.add_argument("--max-k", type=int, required=True, dest="max_k")
-
+    for name, help_text, flag, _, _ in _VERIFY_TARGETS:
+        vsub.add_parser(name, help=help_text).add_argument(flag, type=int, required=True)
     q = vsub.add_parser("all", help="every verification at full scale")
-    q.add_argument("--max-n", type=int, default=64, dest="max_n")
-    q.add_argument("--order", type=int, default=200)
-    q.add_argument("--max-k", type=int, default=1000, dest="max_k")
+    for flag, default in {flag: default for _, _, flag, default, _ in _VERIFY_TARGETS}.items():
+        q.add_argument(flag, type=int, default=default)
 
     return parser
 
 
 def _cmd_bell(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if len(args.xs) != args.n:
+    # a negative n is a precondition error, raised by complete_bell below
+    if args.n >= 0 and len(args.xs) != args.n:
         parser.error(f"bell {args.n} takes exactly {args.n} argument(s), got {len(args.xs)}")
     try:
         xs = [parse_rational(text) for text in args.xs]
@@ -103,37 +113,17 @@ def _cmd_bell(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    if args.which == "euler":
-        s = series.euler_product(args.order)
-    elif args.which == "G":
-        s = series.series_g(args.order)
-    else:
-        s = series.series_h(args.order)
-    for line in series.coefficient_lines(s):
+    for line in series.coefficient_lines(_SERIES[args.which](args.order)):
         print(line)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.target == "theorem":
-        reports = [identity.verify_theorem(args.max_n)]
-    elif args.target == "eq2":
-        reports = [series.verify_p5k4_identity(args.order)]
-    elif args.target == "eq3":
-        reports = [series.verify_p7n5_identity(args.order)]
-    elif args.target == "congruences":
-        reports = [identity.verify_congruences(args.max_k)]
-    else:  # all
-        reports = [
-            identity.verify_theorem(args.max_n),
-            series.verify_p5k4_identity(args.order),
-            series.verify_p7n5_identity(args.order),
-            identity.verify_congruences(args.max_k),
-        ]
-    if len(reports) == 1:
-        payload = reports[0].to_json_dict()
-    else:
+    reports = [run(args) for name, *_, run in _VERIFY_TARGETS if args.target in (name, "all")]
+    if args.target == "all":
         payload = [report.to_json_dict() for report in reports]
+    else:
+        payload = reports[0].to_json_dict()
     print(json.dumps(payload, indent=2))
     return 0 if all(report.overall_pass for report in reports) else 1
 

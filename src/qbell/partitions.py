@@ -1,12 +1,16 @@
 """The partition function p(n), with an independent counting oracle."""
 
+import threading
 from functools import lru_cache
 
 __all__ = ["partition_count", "partition_count_brute", "BRUTE_LIMIT"]
 
-# Dense memo table, p(0) .. p(largest n seen so far).  Append-only; reads of
-# already-filled entries are safe from any thread, extension is not.
+# Dense memo table, p(0) .. p(largest n seen so far).  Append-only: a filled
+# entry never changes, so reading one takes no lock.  Extension holds
+# _extend_lock and rereads the length inside it, so two threads never append
+# the same index.
 _table = [1]
+_extend_lock = threading.Lock()
 
 
 def partition_count(n: int) -> int:
@@ -19,20 +23,22 @@ def partition_count(n: int) -> int:
     """
     if n < 0:
         raise ValueError("partition_count is defined for n >= 0")
-    for m in range(len(_table), n + 1):
-        total = 0
-        k = 1
-        while True:
-            g = k * (3 * k - 1) // 2
-            if g > m:
-                break
-            term = _table[m - g]
-            g += k  # k(3k+1)/2
-            if g <= m:
-                term += _table[m - g]
-            total += term if k % 2 else -term
-            k += 1
-        _table.append(total)
+    if n >= len(_table):
+        with _extend_lock:
+            for m in range(len(_table), n + 1):
+                total = 0
+                k = 1
+                while True:
+                    g = k * (3 * k - 1) // 2
+                    if g > m:
+                        break
+                    term = _table[m - g]
+                    g += k  # k(3k+1)/2
+                    if g <= m:
+                        term += _table[m - g]
+                    total += term if k % 2 else -term
+                    k += 1
+                _table.append(total)
     return _table[n]
 
 

@@ -157,44 +157,45 @@ class TruncatedSeries:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> TruncatedSeries:
-        """Integer power by repeated squaring; negative powers go via inverse()."""
+        """self**a for every integer a, by J.C.P. Miller's power recurrence.
+
+        With c_0 != 0, g = self**a has g_0 = c_0^a and
+            n c_0 g_n = sum_{i=1}^{n} ((a+1) i - n) c_i g_{n-i},
+        which is self * g' = a self' g read coefficient by coefficient
+        (Knuth, TAOCP vol. 2, 4.7).  The sum runs over the nonzero c_i only.
+        A zero constant term x^v is shifted out for a >= 1; a negative
+        power of such a series does not exist.
+        """
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = TruncatedSeries.one(self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        k = self.order
+        if exponent == 0:
+            return TruncatedSeries.one(k)
+        c = self._coeffs
+        v = next((i for i, ci in enumerate(c) if ci), k + 1)
+        if v and exponent < 0:
+            raise ValueError("series with zero constant term has no inverse")
+        shift = v * exponent
+        if shift > k:
+            return TruncatedSeries.zero(k)
+        c0 = c[v]
+        terms = k + 1 - shift
+        support = [(i, (exponent + 1) * i, c[v + i]) for i in range(1, terms) if c[v + i]]
+        g = [c0**exponent]
+        for n in range(1, terms):
+            acc = _ZERO
+            for i, weight, ci in support:
+                if i > n:
+                    break
+                acc += (weight - n) * ci * g[n - i]
+            g.append(acc / (n * c0))
+        return TruncatedSeries([_ZERO] * shift + g)
 
     # -- series-specific operations ---------------------------------------
 
     def inverse(self) -> TruncatedSeries:
-        """t with self * t = 1 through x^order.
-
-        Forward substitution: t_0 = 1/c_0 and
-        t_n = -(sum_{i=1}^{n} c_i t_{n-i}) / c_0.
-        """
-        c = self._coeffs
-        if not c[0]:
-            raise ValueError("series with zero constant term has no inverse")
-        support = [i for i in range(1, len(c)) if c[i]]
-        out = [_ZERO] * len(c)
-        out[0] = 1 / c[0]
-        for n in range(1, len(c)):
-            acc = _ZERO
-            for i in support:
-                if i > n:
-                    break
-                acc += c[i] * out[n - i]
-            out[n] = -acc / c[0]
-        return TruncatedSeries(out)
+        """t with self * t = 1 through x^order: Miller's recurrence at a = -1."""
+        return self ** -1
 
     def substitute_power(self, r: int) -> TruncatedSeries:
         """self(x^r) at the same order: coefficient of x^(r*i) is c_i."""
@@ -316,17 +317,22 @@ def extract_log_coefficients(which: str, order: int) -> list[Fraction]:
 # -- coefficient-level verification ----------------------------------------
 
 
+def _residue_class_report(
+    label: str, s: TruncatedSeries, modulus: int, residue: int
+) -> VerificationReport:
+    """Check coefficient n of s against p(modulus * n + residue) for every n."""
+    entries = []
+    for n, computed in enumerate(s.coefficients):
+        expected = Fraction(partition_count(modulus * n + residue))
+        entries.append(CheckEntry(n, computed, expected, computed == expected))
+    return VerificationReport(label, tuple(entries))
+
+
 def verify_p7n5_identity(order: int) -> VerificationReport:
     """Check that coefficient n of G + H equals p(7n+5) for 0 <= n <= order."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    combined = series_g(order) + series_h(order)
-    entries = []
-    for n in range(order + 1):
-        computed = combined[n]
-        expected = Fraction(partition_count(7 * n + 5))
-        entries.append(CheckEntry(n, computed, expected, computed == expected))
-    return VerificationReport("p7n5-series", tuple(entries))
+    return _residue_class_report("p7n5-series", series_g(order) + series_h(order), 7, 5)
 
 
 def verify_p5k4_identity(order: int) -> VerificationReport:
@@ -335,12 +341,7 @@ def verify_p5k4_identity(order: int) -> VerificationReport:
         raise ValueError("order must be >= 0")
     e1 = euler_product(order)
     s = 5 * (e1.substitute_power(5) ** 5) * (e1 ** -6)
-    entries = []
-    for k in range(order + 1):
-        computed = s[k]
-        expected = Fraction(partition_count(5 * k + 4))
-        entries.append(CheckEntry(k, computed, expected, computed == expected))
-    return VerificationReport("p5k4-series", tuple(entries))
+    return _residue_class_report("p5k4-series", s, 5, 4)
 
 
 def coefficient_lines(series: TruncatedSeries) -> list[str]:

@@ -164,6 +164,8 @@ def test_usage_errors_exit_two(capsys, argv):
         ["partition", "--", "-1"],
         ["coeff", "d", "0"],
         ["coeff", "e", "--", "-2"],
+        ["bell", "-1"],
+        ["bell", "-2", "1/2"],
     ],
 )
 def test_precondition_errors_exit_three(capsys, argv):

@@ -1,7 +1,12 @@
 """Partition counting: pentagonal recurrence vs. brute-force enumeration."""
 
+import os
+import sys
+import threading
+
 import pytest
 
+from qbell import partitions
 from qbell.partitions import BRUTE_LIMIT, partition_count, partition_count_brute
 
 FIRST_VALUES = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77)
@@ -58,3 +63,32 @@ def test_weakly_increasing():
     values = [partition_count(n) for n in range(120)]
     assert all(a <= b for a, b in zip(values, values[1:]))
     assert all(values[n] < values[n + 1] for n in range(1, 119))
+
+
+def test_concurrent_extension_fills_each_entry_once(monkeypatch):
+    # More threads than cores race to extend an empty table while the
+    # interpreter switches threads as often as it can.
+    limit = 6000
+    expected = [partition_count(m) for m in range(limit + 1)]
+    monkeypatch.setattr(partitions, "_table", [1])
+    workers = max(4, (os.cpu_count() or 1) + 2)
+    start = threading.Barrier(workers)
+    results = [None] * workers
+
+    def work(slot):
+        start.wait(timeout=30)
+        results[slot] = partition_count(limit)
+
+    threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert partitions._table == expected
+    assert results == [expected[limit]] * workers

@@ -1,5 +1,6 @@
 """Truncated power series arithmetic and the named q-series expansions."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qbell.series
+from qbell import cli
 from qbell.numtheory import sigma
 from qbell.partitions import partition_count
 from qbell.series import (
@@ -111,6 +114,31 @@ def test_power_and_scalar_division():
     )
     one_minus_x = TruncatedSeries([1, -1, 0, 0, 0])
     assert (one_minus_x**-2).coefficients == (1, 2, 3, 4, 5)
+    x = TruncatedSeries.monomial(1, 4)
+    assert (x**3).coefficients == (0, 0, 0, 1, 0)
+    assert x**5 == TruncatedSeries.zero(4)
+    assert TruncatedSeries.zero(4) ** 0 == TruncatedSeries.one(4)
+
+
+# a random order-6 series behind 0..7 leading zeros, so bases with zero
+# constant term (and the zero series) come up as often as units
+power_base = st.tuples(series_strategy(6), st.integers(0, 7)).map(
+    lambda pair: TruncatedSeries([0] * pair[1] + list(pair[0].coefficients), 6)
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(s=power_base, e=st.integers(0, 4))
+def test_power_matches_repeated_product(s, e):
+    product = TruncatedSeries.one(6)
+    for _ in range(e):
+        product = product * s
+    assert s**e == product
+    if s[0]:
+        assert s**-e * product == TruncatedSeries.one(6)
+    elif e:
+        with pytest.raises(ValueError):
+            s**-e
 
 
 @settings(deadline=None, max_examples=30)
@@ -296,6 +324,34 @@ def test_p5k4_report_passes_with_expected_entries():
     assert report.entries[2].computed == 135
     for entry in report.entries:
         assert entry.expected == partition_count(5 * entry.index + 4)
+
+
+def assert_fails_only_at(report, index, capsys, argv):
+    assert [entry.index for entry in report.failures()] == [index]
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["overallPass"] is False
+
+
+def test_p7n5_report_fails_at_a_bumped_h_coefficient(monkeypatch, capsys):
+    def bumped_h(order):
+        coeffs = list(series_h(order).coefficients)
+        coeffs[17] += 1
+        return TruncatedSeries(coeffs)
+
+    monkeypatch.setattr(qbell.series, "series_h", bumped_h)
+    report = verify_p7n5_identity(30)
+    assert report.entries[17].computed == report.entries[17].expected + 1
+    assert_fails_only_at(report, 17, capsys, ["verify", "eq3", "--order", "30"])
+
+
+def test_p5k4_report_fails_at_a_shifted_partition_count(monkeypatch, capsys):
+    shifted = 5 * 23 + 4
+    monkeypatch.setattr(
+        qbell.series, "partition_count", lambda n: partition_count(n) + (n == shifted)
+    )
+    report = verify_p5k4_identity(30)
+    assert report.entries[23].expected == partition_count(shifted) + 1
+    assert_fails_only_at(report, 23, capsys, ["verify", "eq2", "--order", "30"])
 
 
 # -- text rendering ------------------------------------------------------------
