@@ -5,7 +5,8 @@ variable x_i, so all docstrings below speak in 1-based indices.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import add, mul
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -17,8 +18,21 @@ __all__ = [
 ]
 
 
-def _as_fractions(args: Sequence) -> list[Fraction]:
-    return [Fraction(a) for a in args]
+def _scaled_ints(args: Sequence, count: int) -> tuple[list[int], int]:
+    """(y, b) with b the lcm of the denominators of x_1..x_count and y_i = b^i x_i.
+
+    Each y_i is an int.  Both recurrences below are homogeneous of weight m
+    in the x_i (x_i has weight i), so running them over the y_i yields b^m
+    times the value at the x_i; dividing by b^m once at the end recovers it.
+    """
+    xs = [Fraction(a) for a in args[:count]]
+    b = lcm(*(x.denominator for x in xs))
+    ys = []
+    power = 1
+    for x in xs:
+        power *= b
+        ys.append(x.numerator * (power // x.denominator))
+    return ys, b
 
 
 def partial_bell(n: int, k: int, args: Sequence) -> Fraction:
@@ -26,26 +40,26 @@ def partial_bell(n: int, k: int, args: Sequence) -> Fraction:
 
     Computed by the recurrence
         B_{n,k} = sum_{i=1}^{n-k+1} C(n-1, i-1) x_i B_{n-i,k-1}
-    with B_{0,0} = 1 and B_{m,0} = 0 for m >= 1.
+    with B_{0,0} = 1 and B_{m,0} = 0 for m >= 1, over the ints y_i = b^i x_i,
+    where b is the lcm of the argument denominators;
+    B_{n,k}(y) = b^n B_{n,k}(x).
     """
     if k < 1 or k > n:
         raise ValueError("partial_bell requires 1 <= k <= n")
-    xs = _as_fractions(args)
-    if len(xs) < n - k + 1:
-        raise ValueError(f"need x_1..x_{n - k + 1}, got {len(xs)} arguments")
+    if len(args) < n - k + 1:
+        raise ValueError(f"need x_1..x_{n - k + 1}, got {len(args)} arguments")
+    ys, b = _scaled_ints(args, n - k + 1)
     # Only cells with m - j <= n - k can feed B_{n,k}; restricting to them
-    # also keeps every x index within the n-k+1 arguments supplied.
-    table = [[Fraction(0)] * (k + 1) for _ in range(n + 1)]
-    table[0][0] = Fraction(1)
+    # also keeps every y index within the n-k+1 arguments used.
+    table = [[0] * (k + 1) for _ in range(n + 1)]
+    table[0][0] = 1
     for j in range(1, k + 1):
         for m in range(j, n - k + j + 1):
-            acc = Fraction(0)
-            for i in range(1, m - j + 2):
-                x = xs[i - 1]
-                if x:
-                    acc += comb(m - 1, i - 1) * x * table[m - i][j - 1]
-            table[m][j] = acc
-    return table[n][k]
+            table[m][j] = sum(
+                comb(m - 1, i - 1) * ys[i - 1] * table[m - i][j - 1]
+                for i in range(1, m - j + 2)
+            )
+    return Fraction(table[n][k], b**n)
 
 
 ENUMERATION_LIMIT = 20
@@ -63,7 +77,7 @@ def partial_bell_by_enumeration(n: int, k: int, args: Sequence) -> Fraction:
         raise ValueError("partial_bell_by_enumeration requires 1 <= k <= n")
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"definitional enumeration is guarded to n <= {ENUMERATION_LIMIT}")
-    xs = _as_fractions(args)
+    xs = [Fraction(a) for a in args]
     width = n - k + 1
     if len(xs) < width:
         raise ValueError(f"need x_1..x_{width}, got {len(xs)} arguments")
@@ -93,24 +107,35 @@ def complete_bell(n: int, args: Sequence) -> Fraction:
     """Complete Bell polynomial B_n(x_1, ..., x_n), with B_0 = 1.
 
     Equals sum_{k=1}^{n} B_{n,k}; computed by the single recurrence
-        B_{m+1} = sum_{j=0}^{m} C(m, j) x_{j+1} B_{m-j}.
+        B_{m+1} = sum_{j=0}^{m} C(m, j) x_{j+1} B_{m-j}
+    as described under :func:`complete_bell_sequence`.
     """
-    return complete_bell_sequence(n, args)[n]
+    seq, b = _scaled_complete_bell(n, args)
+    return Fraction(seq[n], b**n)
 
 
 def complete_bell_sequence(n: int, args: Sequence) -> list[Fraction]:
-    """[B_0, B_1, ..., B_n] for the given arguments, in one O(n^2) pass."""
+    """[B_0, B_1, ..., B_n] for the given arguments, in one O(n^2) pass.
+
+    The recurrence runs over ints: with b the lcm of the denominators of
+    x_1..x_n and y_i = b^i x_i, the scaling rule
+        B_m(b x_1, b^2 x_2, ..., b^m x_m) = b^m B_m(x_1, ..., x_m)
+    gives B_m = B_m(y) / b^m, one division per entry at the end.
+    """
+    seq, b = _scaled_complete_bell(n, args)
+    return [Fraction(value, b**m) for m, value in enumerate(seq)]
+
+
+def _scaled_complete_bell(n: int, args: Sequence) -> tuple[list[int], int]:
+    # ([B_0(y), ..., B_n(y)], b); row holds C(m, 0..m), advanced by Pascal's rule
     if n < 0:
         raise ValueError("complete_bell is defined for n >= 0")
-    xs = _as_fractions(args)
-    if len(xs) < n:
-        raise ValueError(f"need x_1..x_{n}, got {len(xs)} arguments")
-    seq = [Fraction(1)]
-    for m in range(n):
-        acc = Fraction(0)
-        for j in range(m + 1):
-            x = xs[j]
-            if x:
-                acc += comb(m, j) * x * seq[m - j]
-        seq.append(acc)
-    return seq
+    if len(args) < n:
+        raise ValueError(f"need x_1..x_{n}, got {len(args)} arguments")
+    ys, b = _scaled_ints(args, n)
+    seq = [1]
+    row = [1]
+    for _ in range(n):
+        seq.append(sum(map(mul, map(mul, row, ys), reversed(seq))))
+        row = [1, *map(add, row, row[1:]), 1]
+    return seq, b

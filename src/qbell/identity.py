@@ -38,9 +38,11 @@ def _e_args(n: int) -> list[Fraction]:
 def theorem_lhs(n: int) -> Fraction:
     """7 B_n(1! d_1, ..., n! d_n) + 49 n B_{n-1}(1! e_1, ..., (n-1)! e_{n-1}).
 
-    The Bell arguments i! d_i are not all integers (the denominator 7
-    survives whenever 7 | i is split out), so the value is computed over
-    the rationals; it nevertheless always reduces to an integer.
+    The Bell arguments are integers, i! d_i = 4 (i-1)! sigma(i) - 21 (i-1)!
+    sigma(i/7) and i! e_i = 8 (i-1)! sigma(i) - 49 (i-1)! sigma(i/7), the
+    second terms only when 7 | i, so the Bell kernel runs with common
+    denominator 1.  The value is still returned as a ``Fraction``, so a
+    caller can check that it is an integer.
     """
     if n < 1:
         raise ValueError("the identity is stated for n >= 1")

@@ -21,6 +21,12 @@ rationals = st.fractions(
 )
 
 
+def coprime_denominator_args(rng: random.Random, count: int) -> list[Fraction]:
+    # denominators 2, 3, 5, 7, 9 have lcm 630, so the common denominator b
+    # of the integer kernels ranges up to 630
+    return [Fraction(rng.randint(-9, 9), rng.choice((2, 3, 5, 7, 9))) for _ in range(count)]
+
+
 def set_partition_count(n: int) -> int:
     """Count set partitions of {0..n-1} by direct enumeration."""
 
@@ -146,6 +152,30 @@ def test_complete_equals_sum_of_partials():
         args = [Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(n)]
         total = sum(partial_bell(n, k, args[: n - k + 1]) for k in range(1, n + 1))
         assert complete_bell(n, args) == total
+
+
+def test_complete_equals_sum_of_enumerated_partials():
+    rng = random.Random(2357)
+    for n in range(1, 13):
+        args = coprime_denominator_args(rng, n)
+        total = sum(
+            partial_bell_by_enumeration(n, k, args[: n - k + 1]) for k in range(1, n + 1)
+        )
+        assert complete_bell(n, args) == total
+
+
+def test_partial_and_complete_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(9753)
+    for n in range(1, 13):
+        args = coprime_denominator_args(rng, n)
+        rationals = [sympy.Rational(x.numerator, x.denominator) for x in args]
+        total = 0
+        for k in range(1, n + 1):
+            expected = sympy.bell(n, k, rationals[: n - k + 1])
+            assert partial_bell(n, k, args) == Fraction(int(expected.p), int(expected.q))
+            total += expected
+        assert complete_bell(n, args) == Fraction(int(total.p), int(total.q))
 
 
 def test_complete_sequence_is_prefix_consistent():

@@ -1,16 +1,20 @@
 """The headline identity and the classical congruence sweep."""
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
+import qbell.identity
+from qbell import cli
 from qbell.identity import (
     theorem_lhs,
     theorem_rhs,
     verify_congruences,
     verify_theorem,
 )
+from qbell.numtheory import d_coefficient, e_coefficient, sigma
 from qbell.partitions import partition_count
 from qbell.series import series_g, series_h
 
@@ -40,6 +44,16 @@ def test_lhs_agrees_with_series_coefficients():
         assert theorem_lhs(n) == math.factorial(n) * total[n]
 
 
+def test_bell_arguments_are_integers():
+    # i! d_i and i! e_i from sigma alone; this is why verify_theorem runs
+    # the Bell kernel with common denominator 1.
+    for i in range(1, 401):
+        base = math.factorial(i - 1)
+        seventh = sigma(i // 7) if i % 7 == 0 else 0
+        assert math.factorial(i) * d_coefficient(i) == 4 * base * sigma(i) - 21 * base * seventh
+        assert math.factorial(i) * e_coefficient(i) == 8 * base * sigma(i) - 49 * base * seventh
+
+
 def test_lhs_validation():
     with pytest.raises(ValueError):
         theorem_lhs(0)
@@ -59,6 +73,42 @@ def test_verify_theorem_report():
     assert report.entries[0].expected == 77
     assert all(entry.passed for entry in report.entries)
     assert report.failures() == []
+
+
+def assert_cli_fails(argv, capsys):
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["overallPass"] is False
+
+
+@pytest.mark.parametrize(
+    "shift, lhs_denominator",
+    [(Fraction(1, 7), 1), (Fraction(1, 2 * math.factorial(7)), 2)],
+)
+def test_theorem_report_fails_from_a_shifted_d7(monkeypatch, capsys, shift, lhs_denominator):
+    # 7! * (1/7) keeps the Bell argument an integer, so only lhs == rhs can
+    # fail; 7! / (2 * 7!) = 1/2 does not, so the kernel scales by b = 2 and
+    # the left side is no longer an integer.
+    monkeypatch.setattr(
+        qbell.identity, "d_coefficient", lambda i: d_coefficient(i) + shift * (i == 7)
+    )
+    report = verify_theorem(10)
+    failure = report.failures()[0]
+    assert failure.index == 7
+    assert failure.computed.denominator == lhs_denominator
+    assert failure.computed != failure.expected
+    assert_cli_fails(["verify", "theorem", "--max-n", "10"], capsys)
+
+
+def test_congruence_report_fails_at_a_shifted_partition_count(monkeypatch, capsys):
+    monkeypatch.setattr(
+        qbell.identity, "partition_count", lambda n: partition_count(n) + (n == 12)
+    )
+    max_k = 10
+    report = verify_congruences(max_k)
+    # p(7k+5) is the second family of max_k + 1 entries; 12 = 7*1 + 5
+    assert report.failures() == [report.entries[max_k + 1 + 1]]
+    assert report.failures()[0].index == 12
+    assert_cli_fails(["verify", "congruences", "--max-k", str(max_k)], capsys)
 
 
 def test_verify_theorem_validation():
