@@ -67,6 +67,7 @@ def verify_theorem(max_n: int) -> VerificationReport:
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
+    partition_count(7 * max_n + 5)  # fill the table once, up front
     bells_d = complete_bell_sequence(max_n, _d_args(max_n))
     bells_e = complete_bell_sequence(max_n - 1, _e_args(max_n - 1))
     entries = []
@@ -90,6 +91,8 @@ def verify_congruences(max_k: int) -> VerificationReport:
     """
     if max_k < 0:
         raise ValueError("max_k must be >= 0")
+    # fill the table once, up front, at the largest index
+    partition_count(max(modulus * max_k + offset for modulus, offset in _CONGRUENCE_FAMILIES))
     entries = []
     for modulus, offset in _CONGRUENCE_FAMILIES:
         for k in range(max_k + 1):

@@ -1,9 +1,10 @@
 """The partition function p(n), with an independent counting oracle."""
 
 import threading
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
-__all__ = ["partition_count", "partition_count_brute", "BRUTE_LIMIT"]
+__all__ = ["partition_count", "partition_count_brute", "BRUTE_LIMIT", "PARTITION_LIMIT"]
 
 # Dense memo table, p(0) .. p(largest n seen so far).  Append-only: a filled
 # entry never changes, so reading one takes no lock.  Extension holds
@@ -12,35 +13,83 @@ __all__ = ["partition_count", "partition_count_brute", "BRUTE_LIMIT"]
 _table = [1]
 _extend_lock = threading.Lock()
 
+# Entries filled per block.  Offsets of at least the block's width read only
+# entries below the block and are summed as whole slices; the smaller ones
+# are added entry by entry.
+_BLOCK = 64
+
+# The generalized pentagonal numbers k(3k-1)/2, k(3k+1)/2 for k = 1, 2, ...,
+# already in increasing order: 1, 2, 5, 7, 12, 15, ...  Their signs in the
+# recurrence run + + - - and repeat, so offset i is added when i & 2 == 0.
+# Grown under _extend_lock.
+_offsets = [1, 2]
+
 
 def partition_count(n: int) -> int:
-    """Number of partitions of n.
+    """Number of partitions of n, for 0 <= n <= PARTITION_LIMIT.
 
     Euler's pentagonal recurrence
         p(n) = sum_{k>=1} (-1)^(k+1) [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)]
-    with p(0) = 1 and p(negative) = 0.  Filling the table up to N costs
-    O(N^1.5) big-integer additions.
+    with p(0) = 1 and p(negative) = 0, memoized in one table.  Filling the
+    table up to N costs O(N^1.5) big-integer additions.  It is filled in
+    blocks of ``_BLOCK`` entries: each offset at least the block's width
+    contributes one slice of the table, and the slices are added column by
+    column in C, so only the offsets below the block's width, O(N
+    sqrt(_BLOCK)) additions in all, run in the interpreter.  The fill
+    gains little when the table grows a few entries per call, so a caller
+    that reads many indices fills it once, at its largest index, first.
+    Raises ``ValueError`` for n < 0 and for n > PARTITION_LIMIT, so the
+    table never holds more than PARTITION_LIMIT + 1 entries.
     """
     if n < 0:
         raise ValueError("partition_count is defined for n >= 0")
     if n >= len(_table):
+        if n > PARTITION_LIMIT:
+            raise ValueError(f"partition_count is capped at n <= {PARTITION_LIMIT}")
         with _extend_lock:
-            for m in range(len(_table), n + 1):
-                total = 0
-                k = 1
-                while True:
-                    g = k * (3 * k - 1) // 2
-                    if g > m:
-                        break
-                    term = _table[m - g]
-                    g += k  # k(3k+1)/2
-                    if g <= m:
-                        term += _table[m - g]
-                    total += term if k % 2 else -term
-                    k += 1
-                _table.append(total)
+            table = _table
+            while _offsets[-1] <= n:
+                k = len(_offsets) // 2 + 1
+                g = k * (3 * k - 1) // 2
+                _offsets.extend((g, g + k))
+            for lo in range(len(table), n + 1, _BLOCK):
+                _fill_block(table, lo, min(lo + _BLOCK, n + 1))
     return _table[n]
 
+
+def _fill_block(table: list[int], lo: int, hi: int) -> None:
+    """Append p(lo) .. p(hi - 1) to table, which holds p(0) .. p(lo - 1)."""
+    width = hi - lo
+    small = bisect_left(_offsets, width)
+    zeros = [0] * width
+    plus, minus = [zeros], [zeros]
+    # An offset g >= width reads p(m - g) with m - g < lo for every m in the
+    # block, so its terms for the whole block are one slice, p(lo - g) ..
+    # p(hi - 1 - g), zero below index 0.
+    for i in range(small, bisect_right(_offsets, hi - 1)):
+        g = _offsets[i]
+        if g <= lo:
+            shifted = table[lo - g : hi - g]
+        else:
+            shifted = [0] * (g - lo) + table[: hi - g]
+        (minus if i & 2 else plus).append(shifted)
+    large = [a - b for a, b in zip(map(sum, zip(*plus)), map(sum, zip(*minus)))]
+    offsets = _offsets[:small]
+    for m, total in enumerate(large, lo):
+        for i, g in enumerate(offsets):
+            if g > m:
+                break
+            if i & 2:
+                total -= table[m - g]
+            else:
+                total += table[m - g]
+        table.append(total)
+
+
+# Largest n that partition_count accepts.  It covers p(11k + 6) for
+# k <= 10^4 (index 110006); p(200000) has about 1630 bits, and the table up
+# to it holds about 34 MB.
+PARTITION_LIMIT = 200_000
 
 BRUTE_LIMIT = 60
 

@@ -8,7 +8,9 @@ __all__ = ["CheckEntry", "VerificationReport", "format_exact"]
 
 def format_exact(value) -> str:
     """Render an exact value: integers as plain decimals, others as num/den."""
-    f = Fraction(value)
+    if type(value) is int:
+        return str(value)
+    f = value if isinstance(value, Fraction) else Fraction(value)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"

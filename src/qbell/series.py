@@ -321,6 +321,7 @@ def _residue_class_report(
     label: str, s: TruncatedSeries, modulus: int, residue: int
 ) -> VerificationReport:
     """Check coefficient n of s against p(modulus * n + residue) for every n."""
+    partition_count(modulus * s.order + residue)  # fill the table once, up front
     entries = []
     for n, computed in enumerate(s.coefficients):
         expected = Fraction(partition_count(modulus * n + residue))

@@ -166,6 +166,8 @@ def test_usage_errors_exit_two(capsys, argv):
         ["coeff", "e", "--", "-2"],
         ["bell", "-1"],
         ["bell", "-2", "1/2"],
+        ["partition", "1000000000"],
+        ["verify", "congruences", "--max-k", "100000"],
     ],
 )
 def test_precondition_errors_exit_three(capsys, argv):

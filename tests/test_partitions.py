@@ -1,13 +1,22 @@
 """Partition counting: pentagonal recurrence vs. brute-force enumeration."""
 
 import os
+import random
 import sys
 import threading
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbell import partitions
-from qbell.partitions import BRUTE_LIMIT, partition_count, partition_count_brute
+from qbell.partitions import (
+    BRUTE_LIMIT,
+    PARTITION_LIMIT,
+    partition_count,
+    partition_count_brute,
+)
 
 FIRST_VALUES = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77)
 
@@ -92,3 +101,58 @@ def test_concurrent_extension_fills_each_entry_once(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert partitions._table == expected
     assert results == [expected[limit]] * workers
+
+
+ORACLE_LIMIT = 3000
+
+
+@lru_cache(maxsize=None)
+def pentagonal_oracle() -> tuple[int, ...]:
+    """p(0) .. p(ORACLE_LIMIT), one index at a time by the pentagonal recurrence.
+
+    The plain per-entry loop, kept as the reference for the blocked fill.
+    """
+    p = [1]
+    for m in range(1, ORACLE_LIMIT + 1):
+        total = 0
+        k = 1
+        while k * (3 * k - 1) // 2 <= m:
+            term = p[m - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= m:
+                term += p[m - k * (3 * k + 1) // 2]
+            total += term if k % 2 else -term
+            k += 1
+        p.append(total)
+    return tuple(p)
+
+
+@settings(deadline=None, max_examples=40)
+@given(steps=st.lists(st.integers(0, 400), min_size=1, max_size=25))
+def test_fill_in_uneven_steps_matches_one_shot_fill_and_oracle(steps):
+    expected = pentagonal_oracle()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partitions, "_table", [1])
+        n = 0
+        for step in steps:
+            n = min(n + step, ORACLE_LIMIT)
+            assert partition_count(n) == expected[n]
+        stepped = partitions._table
+        mp.setattr(partitions, "_table", [1])
+        partition_count(n)
+        assert stepped == partitions._table == list(expected[: n + 1])
+
+
+def test_matches_sympy_at_seeded_indices():
+    partition = pytest.importorskip("sympy.functions.combinatorial.numbers").partition
+    rng = random.Random(2718)
+    for n in sorted(rng.sample(range(20001), 40)) + [20000]:
+        assert partition_count(n) == int(partition(n))
+
+
+def test_partition_limit():
+    assert PARTITION_LIMIT >= 200_000
+    assert 11 * 10_000 + 6 <= PARTITION_LIMIT
+    with pytest.raises(ValueError, match="capped"):
+        partition_count(PARTITION_LIMIT + 1)
+    with pytest.raises(ValueError, match="capped"):
+        partition_count(10**9)
