@@ -6,7 +6,7 @@ every check passed.  Diagnostics go to stderr, output is byte-identical
 across runs.
 
 Exit codes: 0 success or verified, 1 a verification entry failed, 2 usage
-or parse error, 3 precondition violation.
+or parse error, 3 precondition violation, a size past its cap included.
 """
 
 import argparse
@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import identity, series
 from .bell import complete_bell
 from .numtheory import d_coefficient, e_coefficient, sigma
-from .partitions import partition_count
+from .partitions import PARTITION_LIMIT, partition_count
 from .reports import format_exact
 
 __all__ = ["main", "entry", "build_parser", "parse_rational"]
@@ -33,16 +33,27 @@ _SERIES = {
     "H": lambda order: series.series_h(order),
 }
 
+# Largest theorem --max-n: n! p(7n+5) has at most 4300 digits for n <= 1523,
+# the interpreter's default limit for str() of an int, which the report
+# cannot print past.  The limit is process-global, so it is not raised.
+_THEOREM_MAX_N = 1523
+
 # verify targets in `verify all` order: name, help, size flag, its default
-# under `verify all`, and the report it runs.
+# under `verify all`, its largest accepted value, and the report it runs.
+# Past the theorem, each cap keeps the largest p(m * size + r) that the
+# report reads within PARTITION_LIMIT.
 _VERIFY_TARGETS = (
     ("theorem", "Bell-polynomial identity for n! p(7n+5)", "--max-n", 64,
+     _THEOREM_MAX_N,
      lambda args: identity.verify_theorem(args.max_n)),
     ("eq2", "series identity for p(5k+4)", "--order", 200,
+     (PARTITION_LIMIT - 4) // 5,
      lambda args: series.verify_p5k4_identity(args.order)),
     ("eq3", "series identity for p(7n+5)", "--order", 200,
+     (PARTITION_LIMIT - 5) // 7,
      lambda args: series.verify_p7n5_identity(args.order)),
     ("congruences", "p(5k+4), p(7k+5), p(11k+6) divisibility", "--max-k", 1000,
+     (PARTITION_LIMIT - 6) // 11,
      lambda args: identity.verify_congruences(args.max_k)),
 )
 
@@ -91,10 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification report (JSON on stdout)")
     vsub = v.add_subparsers(dest="target", required=True)
-    for name, help_text, flag, _, _ in _VERIFY_TARGETS:
+    for name, help_text, flag, *_ in _VERIFY_TARGETS:
         vsub.add_parser(name, help=help_text).add_argument(flag, type=int, required=True)
     q = vsub.add_parser("all", help="every verification at full scale")
-    for flag, default in {flag: default for _, _, flag, default, _ in _VERIFY_TARGETS}.items():
+    for flag, default in {flag: default for _, _, flag, default, *_ in _VERIFY_TARGETS}.items():
         q.add_argument(flag, type=int, default=default)
 
     return parser
@@ -119,7 +130,12 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    reports = [run(args) for name, *_, run in _VERIFY_TARGETS if args.target in (name, "all")]
+    targets = [target for target in _VERIFY_TARGETS if args.target in (target[0], "all")]
+    # every cap is checked before any report runs
+    for name, _, flag, _, cap, _ in targets:
+        if getattr(args, flag[2:].replace("-", "_")) > cap:
+            raise ValueError(f"verify {name} {flag} is capped at {cap}")
+    reports = [run(args) for *_, run in targets]
     if args.target == "all":
         payload = [report.to_json_dict() for report in reports]
     else:

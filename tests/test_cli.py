@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from qbell import cli
+from qbell.identity import theorem_rhs
 
 
 def run_cli(capsys, argv):
@@ -168,13 +170,75 @@ def test_usage_errors_exit_two(capsys, argv):
         ["bell", "-2", "1/2"],
         ["partition", "1000000000"],
         ["verify", "congruences", "--max-k", "100000"],
+        ["verify", "theorem", "--max-n", "1524"],
+        ["verify", "eq3", "--order", "28571"],
+        ["verify", "eq2", "--order", "40000"],
+        ["verify", "all", "--max-n", "1524"],
     ],
 )
 def test_precondition_errors_exit_three(capsys, argv):
+    start = time.perf_counter()
     code = cli.main(argv)
+    elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err.startswith("error:")
+    assert elapsed < 1.0  # refused before any work
+
+
+@pytest.fixture
+def stub_reports(monkeypatch):
+    """Replace every verify report by a stub; returns the (target, size) calls."""
+    from qbell.reports import VerificationReport
+
+    ran = []
+
+    def stub(label):
+        def report(size):
+            ran.append((label, size))
+            return VerificationReport(label, ())
+
+        return report
+
+    monkeypatch.setattr(cli.identity, "verify_theorem", stub("theorem"))
+    monkeypatch.setattr(cli.series, "verify_p5k4_identity", stub("eq2"))
+    monkeypatch.setattr(cli.series, "verify_p7n5_identity", stub("eq3"))
+    monkeypatch.setattr(cli.identity, "verify_congruences", stub("congruences"))
+    return ran
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (["verify", "theorem", "--max-n", "1524"], "1523"),
+        (["verify", "eq3", "--order", "28571"], "28570"),
+        (["verify", "eq2", "--order", "40000"], "39999"),
+        (["verify", "all", "--max-n", "1524"], "1523"),
+        (["verify", "all", "--order", "30000"], "28570"),
+        (["verify", "congruences", "--max-k", "18182"], "18181"),
+    ],
+)
+def test_verify_caps_are_checked_before_any_report(capsys, stub_reports, argv, cap):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, stub_reports) == (3, "", [])
+    assert f"capped at {cap}" in err
+
+
+def test_verify_runs_at_its_cap(capsys, stub_reports):
+    argv = ["verify", "all", "--max-n", "1523", "--order", "28570", "--max-k", "18181"]
+    assert run_cli(capsys, argv)[0] == 0
+    assert run_cli(capsys, ["verify", "eq2", "--order", "39999"])[0] == 0
+    assert stub_reports == [
+        ("theorem", 1523), ("eq2", 28570), ("eq3", 28570), ("congruences", 18181), ("eq2", 39999)
+    ]
+
+
+def test_theorem_cap_is_the_last_printable_n():
+    # The cap keeps n! p(7n+5) within the interpreter's limit for str() of
+    # an int; one step past it the right side no longer prints.
+    cap = cli._THEOREM_MAX_N
+    assert len(str(theorem_rhs(cap))) <= sys.get_int_max_str_digits()
+    assert theorem_rhs(cap + 1) >= 10 ** sys.get_int_max_str_digits()
 
 
 def test_verification_failure_exits_one(capsys, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 
 import qbell.identity
 from qbell import cli
+from qbell.bell import complete_bell_sequence
 from qbell.identity import (
     theorem_lhs,
     theorem_rhs,
@@ -44,9 +45,24 @@ def test_lhs_agrees_with_series_coefficients():
         assert theorem_lhs(n) == math.factorial(n) * total[n]
 
 
+def _bell_args(coefficient, n):
+    return [math.factorial(i) * coefficient(i) for i in range(1, n + 1)]
+
+
+def test_exponential_formula_matches_the_bell_oracle():
+    # complete_bell_sequence, the binomial recurrence on i! d_i and i! e_i,
+    # is the oracle for the exponential-formula route of both entry points.
+    top = 256
+    bells_d = complete_bell_sequence(top, _bell_args(d_coefficient, top))
+    bells_e = complete_bell_sequence(top - 1, _bell_args(e_coefficient, top - 1))
+    expected = [7 * bells_d[n] + 49 * n * bells_e[n - 1] for n in range(1, top + 1)]
+    assert [entry.computed for entry in verify_theorem(top).entries] == expected
+    assert [theorem_lhs(n) for n in range(1, top + 1)] == expected
+
+
 def test_bell_arguments_are_integers():
-    # i! d_i and i! e_i from sigma alone; this is why verify_theorem runs
-    # the Bell kernel with common denominator 1.
+    # i! d_i and i! e_i from sigma alone, so the weights i d_i and i e_i of
+    # the exponential formula are ints too.
     for i in range(1, 401):
         base = math.factorial(i - 1)
         seventh = sigma(i // 7) if i % 7 == 0 else 0

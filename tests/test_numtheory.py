@@ -1,6 +1,7 @@
 """Divisor sums, the 7-adic split, and the d/e coefficient sequences."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,13 @@ def test_sigma_matches_divisor_scan():
 def test_sigma_of_prime_is_prime_plus_one():
     for p in (2, 3, 5, 7, 11, 13, 97, 997):
         assert sigma(p) == p + 1
+
+
+def test_sigma_matches_sympy_at_seeded_indices():
+    divisor_sigma = pytest.importorskip("sympy.functions.combinatorial.numbers").divisor_sigma
+    rng = random.Random(1729)
+    for n in sorted(rng.sample(range(1, 10**5 + 1), 200)) + [5040 * 7, 7**5, 10**5]:
+        assert sigma(n) == int(divisor_sigma(n))
 
 
 @pytest.mark.parametrize("bad", [0, -1, -12])
