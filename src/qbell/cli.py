@@ -33,6 +33,10 @@ _SERIES = {
     "H": lambda order: series.series_h(order),
 }
 
+# Largest eq3 --order, p(7N+5) <= PARTITION_LIMIT; series --order builds the
+# same G and H, so it shares the cap.
+_EQ3_MAX_ORDER = (PARTITION_LIMIT - 5) // 7
+
 # Largest theorem --max-n: n! p(7n+5) has at most 4300 digits for n <= 1523,
 # the interpreter's default limit for str() of an int, which the report
 # cannot print past.  The limit is process-global, so it is not raised.
@@ -49,8 +53,7 @@ _VERIFY_TARGETS = (
     ("eq2", "series identity for p(5k+4)", "--order", 200,
      (PARTITION_LIMIT - 4) // 5,
      lambda args: series.verify_p5k4_identity(args.order)),
-    ("eq3", "series identity for p(7n+5)", "--order", 200,
-     (PARTITION_LIMIT - 5) // 7,
+    ("eq3", "series identity for p(7n+5)", "--order", 200, _EQ3_MAX_ORDER,
      lambda args: series.verify_p7n5_identity(args.order)),
     ("congruences", "p(5k+4), p(7k+5), p(11k+6) divisibility", "--max-k", 1000,
      (PARTITION_LIMIT - 6) // 11,
@@ -62,6 +65,9 @@ def parse_rational(text: str) -> Fraction:
     """Parse "num" or "num/den" with an optional sign; no decimal points."""
     if not _RATIONAL_SYNTAX.match(text):
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if limit and max(map(len, re.findall(r"\d+", text))) > limit:
+        raise ValueError(f"a rational is capped at {limit} digits, the interpreter's int limit")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -119,11 +125,17 @@ def _cmd_bell(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         xs = [parse_rational(text) for text in args.xs]
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
-    print(format_exact(complete_bell(args.n, xs)))
+    value = complete_bell(args.n, xs)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
+        raise ValueError(f"bell results are capped at {limit} digits, the interpreter's int limit")
+    print(format_exact(value))
     return 0
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
+    if args.order > _EQ3_MAX_ORDER:
+        raise ValueError(f"series --order is capped at {_EQ3_MAX_ORDER}")
     for line in series.coefficient_lines(_SERIES[args.which](args.order)):
         print(line)
     return 0

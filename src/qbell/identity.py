@@ -15,21 +15,22 @@ Combinatorics*, 1974, 3.3):
 
     B_n(1! y_1, ..., n! y_n) = n! a_n,  sum_n a_n t^n = exp(sum_i y_i t^i),
 
-so n a_n = sum_{i=1..n} (i y_i) a_{n-i}.  With y = d, the weights
-i d_i = 4 sigma(i) - 21 sigma(i/7) are small ints and a_n = [x^n] G/7 is an
-int of O(sqrt(n)) bits (208 at n = 1024), where the binomial Bell
-recurrence of :mod:`qbell.bell` carries B_n = n! a_n (8977 bits); the same
-holds for e and H/(49x).  :func:`qbell.bell.complete_bell_sequence` stays
-the oracle that the tests hold this route to.
+so n a_n = sum_{i=1..n} (i y_i) a_{n-i}, run by ``TruncatedSeries.exp``.
+With y = d, the weights i d_i = 4 sigma(i) - 21 sigma(i/7) are small ints
+and a_n = [x^n] G/7 is an int of O(sqrt(n)) bits (208 at n = 1024), where
+the binomial Bell recurrence of :mod:`qbell.bell` carries B_n = n! a_n
+(8977 bits); the same holds for e and H/(49x).
+:func:`qbell.bell.complete_bell_sequence` stays the oracle that the tests
+hold this route to.
 """
 
 from fractions import Fraction
 from math import factorial
-from operator import mul
 
 from .numtheory import d_coefficient, e_coefficient
 from .partitions import partition_count
 from .reports import CheckEntry, VerificationReport
+from .series import TruncatedSeries
 
 __all__ = [
     "theorem_lhs",
@@ -39,23 +40,15 @@ __all__ = [
 ]
 
 
-def _exp_formula(n: int, coefficient) -> list:
-    """[a_0, ..., a_n] with sum_m a_m t^m = exp(sum_{i>=1} coefficient(i) t^i).
+def _exp_formula(n: int, coefficient) -> tuple:
+    """(a_0, ..., a_n) with sum_m a_m t^m = exp(sum_{i>=1} coefficient(i) t^i).
 
-    Runs m a_m = sum_{i=1..m} w_i a_{m-i}, w_i = i coefficient(i), over
-    ints.  A weight that is not an integer, or a sum that m does not
-    divide, makes that a_m (and what follows from it) a ``Fraction``, so a
-    wrong coefficient shows up as a non-integer left side, not an error.
+    The series exp runs over ints for the true d and e.  A wrong
+    coefficient whose weight i coefficient(i) is not an integer carries on
+    as a ``Fraction``, so it shows up as a non-integer left side, not an
+    error.
     """
-    ws = []
-    for i in range(1, n + 1):
-        w = i * coefficient(i)
-        ws.append(w.numerator if w.denominator == 1 else w)
-    a = [1]
-    for m in range(1, n + 1):
-        acc = sum(map(mul, ws, reversed(a)))  # map stops at a_0
-        a.append(acc // m if type(acc) is int and acc % m == 0 else Fraction(acc, m))
-    return a
+    return TruncatedSeries([0, *map(coefficient, range(1, n + 1))]).exp().coefficients
 
 
 def theorem_lhs(n: int) -> Fraction:
@@ -96,10 +89,10 @@ def verify_theorem(max_n: int) -> VerificationReport:
     n_factorial = 1
     for n in range(1, max_n + 1):
         n_factorial *= n
-        lhs = Fraction(n_factorial * (7 * a[n] + 49 * b[n - 1]))
+        lhs = n_factorial * (7 * a[n] + 49 * b[n - 1])
         rhs = theorem_rhs(n)
         passed = lhs.denominator == 1 and lhs == rhs
-        entries.append(CheckEntry(n, lhs, Fraction(rhs), passed))
+        entries.append(CheckEntry(n, lhs, rhs, passed))
     return VerificationReport("bell-identity", tuple(entries))
 
 
@@ -122,5 +115,5 @@ def verify_congruences(max_k: int) -> VerificationReport:
         for k in range(max_k + 1):
             n = modulus * k + offset
             residue = partition_count(n) % modulus
-            entries.append(CheckEntry(n, Fraction(residue), Fraction(0), residue == 0))
+            entries.append(CheckEntry(n, residue, 0, residue == 0))
     return VerificationReport("ramanujan-congruences", tuple(entries))

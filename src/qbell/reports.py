@@ -8,12 +8,7 @@ __all__ = ["CheckEntry", "VerificationReport", "format_exact"]
 
 def format_exact(value) -> str:
     """Render an exact value: integers as plain decimals, others as num/den."""
-    if type(value) is int:
-        return str(value)
-    f = value if isinstance(value, Fraction) else Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return str(value if type(value) is int else Fraction(value))
 
 
 @dataclass(frozen=True)
@@ -21,8 +16,8 @@ class CheckEntry:
     """One verified index: the computed value against the expected one."""
 
     index: int
-    computed: Fraction
-    expected: Fraction
+    computed: int | Fraction
+    expected: int | Fraction
     passed: bool
 
 

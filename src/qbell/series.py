@@ -1,15 +1,17 @@
 """Truncated formal power series with exact rational coefficients.
 
 A :class:`TruncatedSeries` represents a power series modulo x^(K+1) as a
-dense tuple of K+1 fractions.  Arithmetic between two series truncates to
-the smaller order and never extrapolates; every constructor and method
-states the order of what it returns.  Values are immutable, so concurrent
-use needs no coordination.
+dense tuple of K+1 exact numbers: an ``int`` where the value is integral,
+else a reduced ``Fraction``, so integer series such as G and H run over
+ints.  Arithmetic between two series truncates to the smaller order and
+never extrapolates; every constructor and method states the order of what
+it returns.  Values are immutable, so concurrent use needs no coordination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable
 
 from .partitions import partition_count
@@ -26,8 +28,14 @@ __all__ = [
     "coefficient_lines",
 ]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _quotient(a, b=1) -> int | Fraction:
+    """a / b exactly: an int when it is integral, else a reduced Fraction."""
+    if type(a) is int and type(b) is int:  # never a / b: that is a float
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a if type(a) is Fraction and b == 1 else Fraction(a) / b
+    return q.numerator if q.denominator == 1 else q
 
 
 class TruncatedSeries:
@@ -36,7 +44,7 @@ class TruncatedSeries:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Iterable = (), order: int | None = None):
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = [_quotient(c) for c in coefficients]
         if order is None:
             if not coeffs:
                 raise ValueError("need coefficients or an explicit order")
@@ -46,7 +54,7 @@ class TruncatedSeries:
             if len(coeffs) > order + 1:
                 del coeffs[order + 1:]
             else:
-                coeffs.extend([_ZERO] * (order + 1 - len(coeffs)))
+                coeffs.extend([0] * (order + 1 - len(coeffs)))
         self._coeffs = tuple(coeffs)
 
     @classmethod
@@ -55,7 +63,7 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, order: int) -> TruncatedSeries:
-        return cls((_ONE,), order)
+        return cls((1,), order)
 
     @classmethod
     def monomial(cls, exponent: int, order: int, coefficient=1) -> TruncatedSeries:
@@ -64,17 +72,17 @@ class TruncatedSeries:
             raise ValueError("exponent must be >= 0")
         if exponent > order:
             return cls.zero(order)
-        return cls([_ZERO] * exponent + [Fraction(coefficient)], order)
+        return cls([0] * exponent + [coefficient], order)
 
     @property
     def order(self) -> int:
         return len(self._coeffs) - 1
 
     @property
-    def coefficients(self) -> tuple[Fraction, ...]:
+    def coefficients(self) -> tuple[int | Fraction, ...]:
         return self._coeffs
 
-    def __getitem__(self, exponent: int) -> Fraction:
+    def __getitem__(self, exponent: int) -> int | Fraction:
         if not 0 <= exponent <= self.order:
             raise IndexError(f"exponent {exponent} outside 0..{self.order}")
         return self._coeffs[exponent]
@@ -133,7 +141,7 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             k = min(self.order, other.order)
             a, b = self._coeffs, other._coeffs
-            out = [_ZERO] * (k + 1)
+            out = [0] * (k + 1)
             for i in range(k + 1):
                 ai = a[i]
                 if not ai:
@@ -153,7 +161,7 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             return self * other.inverse()
         if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
+            return TruncatedSeries([_quotient(c, other) for c in self._coeffs])
         return NotImplemented
 
     def __pow__(self, exponent: int) -> TruncatedSeries:
@@ -181,15 +189,15 @@ class TruncatedSeries:
         c0 = c[v]
         terms = k + 1 - shift
         support = [(i, (exponent + 1) * i, c[v + i]) for i in range(1, terms) if c[v + i]]
-        g = [c0**exponent]
+        g = [c0**exponent if exponent > 0 else _quotient(1, c0**-exponent)]
         for n in range(1, terms):
-            acc = _ZERO
+            acc = 0
             for i, weight, ci in support:
                 if i > n:
                     break
                 acc += (weight - n) * ci * g[n - i]
-            g.append(acc / (n * c0))
-        return TruncatedSeries([_ZERO] * shift + g)
+            g.append(_quotient(acc, n * c0))
+        return TruncatedSeries([0] * shift + g)
 
     # -- series-specific operations ---------------------------------------
 
@@ -202,47 +210,38 @@ class TruncatedSeries:
         if r < 1:
             raise ValueError("substitution power must be >= 1")
         k = self.order
-        out = [_ZERO] * (k + 1)
-        for i, c in enumerate(self._coeffs):
-            if r * i > k:
-                break
-            out[r * i] = c
+        out = [0] * (k + 1)
+        out[::r] = self._coeffs[: k // r + 1]
         return TruncatedSeries(out)
 
     def log(self) -> TruncatedSeries:
         """ln(self), requiring constant term exactly 1.
 
         Differential recurrence (from L' * self = self'):
-            n L_n = n c_n - sum_{i=1}^{n-1} i L_i c_{n-i};
-        the division by n is exact over the rationals.
+            n L_n = n c_n - sum_{i=1}^{n-1} i L_i c_{n-i},
+        run on the weights i L_i, which are ints for G/7 and H/(49x).
         """
         c = self._coeffs
         if c[0] != 1:
             raise ValueError("log needs constant term exactly 1")
-        out = [_ZERO] * len(c)
+        ws, out = [], [0]  # ws[i - 1] = i L_i
         for n in range(1, len(c)):
-            acc = n * c[n]
-            for i in range(1, n):
-                if c[n - i]:
-                    acc -= i * out[i] * c[n - i]
-            out[n] = acc / n
+            ws.append(n * c[n] - sum(map(mul, ws, reversed(c[1:n]))))
+            out.append(_quotient(ws[-1], n))
         return TruncatedSeries(out)
 
     def exp(self) -> TruncatedSeries:
-        """exp(self), requiring constant term 0: n E_n = sum_i i c_i E_{n-i}."""
+        """exp(self), requiring constant term 0: n E_n = sum_{i=1..n} (i c_i) E_{n-i}.
+
+        The kernel of the theorem's left side in :mod:`qbell.identity`.
+        """
         c = self._coeffs
         if c[0] != 0:
             raise ValueError("exp needs constant term 0")
-        support = [i for i in range(1, len(c)) if c[i]]
-        out = [_ZERO] * len(c)
-        out[0] = _ONE
+        ws = [_quotient(i * c[i].numerator, c[i].denominator) for i in range(1, len(c))]
+        out = [1]
         for n in range(1, len(c)):
-            acc = _ZERO
-            for i in support:
-                if i > n:
-                    break
-                acc += i * c[i] * out[n - i]
-            out[n] = acc / n
+            out.append(_quotient(sum(map(mul, ws, reversed(out))), n))  # map stops at E_0
         return TruncatedSeries(out)
 
 
@@ -259,14 +258,14 @@ def euler_product(order: int) -> TruncatedSeries:
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    coeffs = [_ZERO] * (order + 1)
-    coeffs[0] = _ONE
+    coeffs = [0] * (order + 1)
+    coeffs[0] = 1
     k = 1
     while True:
         g = k * (3 * k - 1) // 2
         if g > order:
             break
-        sign = Fraction(-1 if k % 2 else 1)
+        sign = -1 if k % 2 else 1
         coeffs[g] = sign
         g += k  # k(3k+1)/2
         if g <= order:
@@ -293,7 +292,7 @@ def series_h(order: int) -> TruncatedSeries:
     return TruncatedSeries.monomial(1, order, 49) * (e7 ** 7) * (e1 ** -8)
 
 
-def extract_log_coefficients(which: str, order: int) -> list[Fraction]:
+def extract_log_coefficients(which: str, order: int) -> list[int | Fraction]:
     """Coefficients 1..order of ln(G(x)/7) or of ln(H(x)/(49x)).
 
     Dividing G by 7, and H by 49x (drop the zero constant, shift every
@@ -307,8 +306,7 @@ def extract_log_coefficients(which: str, order: int) -> list[Fraction]:
     if which == "G":
         normalized = series_g(order) / 7
     elif which == "H":
-        h = series_h(order + 1)
-        normalized = TruncatedSeries([c / 49 for c in h.coefficients[1:]])
+        normalized = TruncatedSeries(series_h(order + 1).coefficients[1:]) / 49
     else:
         raise ValueError("which must be 'G' or 'H'")
     return list(normalized.log().coefficients[1 : order + 1])
@@ -324,7 +322,7 @@ def _residue_class_report(
     partition_count(modulus * s.order + residue)  # fill the table once, up front
     entries = []
     for n, computed in enumerate(s.coefficients):
-        expected = Fraction(partition_count(modulus * n + residue))
+        expected = partition_count(modulus * n + residue)
         entries.append(CheckEntry(n, computed, expected, computed == expected))
     return VerificationReport(label, tuple(entries))
 

@@ -174,6 +174,7 @@ def test_usage_errors_exit_two(capsys, argv):
         ["verify", "eq3", "--order", "28571"],
         ["verify", "eq2", "--order", "40000"],
         ["verify", "all", "--max-n", "1524"],
+        ["series", "euler", "--order", "1000000000000000"],
     ],
 )
 def test_precondition_errors_exit_three(capsys, argv):
@@ -239,6 +240,46 @@ def test_theorem_cap_is_the_last_printable_n():
     cap = cli._THEOREM_MAX_N
     assert len(str(theorem_rhs(cap))) <= sys.get_int_max_str_digits()
     assert theorem_rhs(cap + 1) >= 10 ** sys.get_int_max_str_digits()
+
+
+def test_series_order_is_capped_with_eq3(capsys, monkeypatch):
+    # series --order builds the same G and H as verify eq3 --order
+    from qbell.series import TruncatedSeries
+
+    monkeypatch.setattr(cli.series, "series_h", lambda order: TruncatedSeries.zero(0))
+    assert run_cli(capsys, ["series", "H", "--order", "28570"]) == (0, "0\t0\n", "")
+    code, out, err = run_cli(capsys, ["series", "H", "--order", "28571"])
+    assert (code, out, err) == (3, "", "error: series --order is capped at 28570\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bell", "1", "7" * 4400],  # an argument past the limit
+        ["bell", "1", "1/" + "0" * 4300 + "1"],  # leading zeros count, as in int()
+        ["bell", "2", "7" * 3000, "0"],  # B_2 = x_1^2 + x_2 has 6000 digits
+        ["bell", "2", "1", "9" * 4300],  # B_2 = 10^4300, one digit past
+        ["bell", "2", "1/" + "7" * 3000, "0"],  # a 6000-digit denominator
+    ],
+)
+def test_bell_refuses_values_past_the_digit_limit(capsys, argv):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and f"capped at {limit} digits" in err
+    assert "set_int_max_str_digits" not in err  # qbell's message, not the interpreter's
+
+
+def test_bell_digit_guard_follows_the_interpreter_limit(capsys):
+    # the largest value that prints passes, and a limit of 0 means no limit
+    limit = sys.get_int_max_str_digits()
+    big = "7" * limit
+    assert run_cli(capsys, ["bell", "1", big]) == (0, big + "\n", "")
+    try:
+        sys.set_int_max_str_digits(0)
+        assert run_cli(capsys, ["bell", "1", big + "7"]) == (0, big + "7\n", "")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_verification_failure_exits_one(capsys, monkeypatch):

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qbell.identity
 import qbell.series
 from qbell import cli
-from qbell.numtheory import sigma
+from qbell.numtheory import d_coefficient, e_coefficient, sigma
 from qbell.partitions import partition_count
 from qbell.series import (
     TruncatedSeries,
@@ -352,6 +353,59 @@ def test_p5k4_report_fails_at_a_shifted_partition_count(monkeypatch, capsys):
     report = verify_p5k4_identity(30)
     assert report.entries[23].expected == partition_count(shifted) + 1
     assert_fails_only_at(report, 23, capsys, ["verify", "eq2", "--order", "30"])
+
+
+# -- coefficient types ---------------------------------------------------------
+# Fraction(3, 2) == 1.5, so only a type check catches a float coefficient.
+
+
+def assert_canonical(values):
+    """Every value is an int when it is integral, else a reduced Fraction."""
+    for value in values:
+        assert type(value) in (int, Fraction), repr(value)
+        assert (type(value) is int) == (Fraction(value).denominator == 1), repr(value)
+
+
+# half of the draws have integer coefficients, so the int paths run too
+exact_series = st.one_of(
+    st.lists(st.integers(-5, 5), min_size=7, max_size=7).map(TruncatedSeries),
+    series_strategy(6),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    a=exact_series,
+    b=exact_series,
+    e=st.integers(-3, 3),
+    m=st.integers(-6, 6).filter(bool),
+    r=st.integers(1, 3),
+    n=st.integers(1, 12),
+)
+def test_results_hold_ints_where_integral(a, b, e, m, r, n):
+    unit = b - b[0] + (b[0] or 1)  # a nonzero constant term
+    results = [
+        a + b, a - b, a * b, a + m, a * m, a / m, unit**e, unit.inverse(), a / unit,
+        (unit - unit[0] + 1).log(), (a - a[0]).exp(), a.substitute_power(r),
+    ]
+    for result in results:
+        assert_canonical(result.coefficients)
+    assert (a / m) * m == a  # a float quotient would be inexact
+    assert_canonical(extract_log_coefficients("H", n))
+
+
+def test_named_series_run_over_ints():
+    order = 200
+    named = [euler_product(order), series_g(order), series_h(order)]
+    eq2 = [entry.computed for entry in verify_p5k4_identity(order).entries]
+    theorem = [
+        qbell.identity._exp_formula(order, d_coefficient),
+        qbell.identity._exp_formula(order - 1, e_coefficient),
+    ]
+    reports = [qbell.identity.verify_theorem(order), qbell.identity.verify_congruences(order)]
+    sides = [value for r in reports for e in r.entries for value in (e.computed, e.expected)]
+    for values in [*(s.coefficients for s in named), eq2, *theorem, sides]:
+        assert {type(value) for value in values} == {int}
 
 
 # -- text rendering ------------------------------------------------------------
