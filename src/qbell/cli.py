@@ -42,6 +42,11 @@ _EQ3_MAX_ORDER = (PARTITION_LIMIT - 5) // 7
 # cannot print past.  The limit is process-global, so it is not raised.
 _THEOREM_MAX_N = 1523
 
+# Largest bell n.  B_n of n one-digit arguments takes about 1.6 s at n = 1000
+# and 23 s at n = 2000, and the digit guard on the result fires only after
+# that work.  The library's complete_bell stays uncapped.
+_BELL_MAX_N = 1000
+
 # verify targets in `verify all` order: name, help, size flag, its default
 # under `verify all`, its largest accepted value, and the report it runs.
 # Past the theorem, each cap keeps the largest p(m * size + r) that the
@@ -118,6 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bell(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if args.n > _BELL_MAX_N:
+        raise ValueError(f"bell n is capped at {_BELL_MAX_N}")
     # a negative n is a precondition error, raised by complete_bell below
     if args.n >= 0 and len(args.xs) != args.n:
         parser.error(f"bell {args.n} takes exactly {args.n} argument(s), got {len(args.xs)}")

@@ -16,12 +16,17 @@ Combinatorics*, 1974, 3.3):
     B_n(1! y_1, ..., n! y_n) = n! a_n,  sum_n a_n t^n = exp(sum_i y_i t^i),
 
 so n a_n = sum_{i=1..n} (i y_i) a_{n-i}, run by ``TruncatedSeries.exp``.
-With y = d, the weights i d_i = 4 sigma(i) - 21 sigma(i/7) are small ints
-and a_n = [x^n] G/7 is an int of O(sqrt(n)) bits (208 at n = 1024), where
-the binomial Bell recurrence of :mod:`qbell.bell` carries B_n = n! a_n
-(8977 bits); the same holds for e and H/(49x).
+With y = d, the weights i d_i = 4 sigma(i) - 21 sigma(i/7), from which
+:mod:`qbell.numtheory` computes d, are small ints and a_n = [x^n] G/7 is
+an int of O(sqrt(n)) bits (208 at n = 1024), where the binomial Bell
+recurrence of :mod:`qbell.bell` carries B_n = n! a_n (8977 bits); the same
+holds for e and H/(49x).
 :func:`qbell.bell.complete_bell_sequence` stays the oracle that the tests
 hold this route to.
+
+``theorem_lhs`` and ``verify_theorem`` take the left side from one helper,
+and both reports here pass an entry exactly when its two sides are equal
+(``VerificationReport.from_rows``).
 """
 
 from fractions import Fraction
@@ -29,7 +34,7 @@ from math import factorial
 
 from .numtheory import d_coefficient, e_coefficient
 from .partitions import partition_count
-from .reports import CheckEntry, VerificationReport
+from .reports import VerificationReport
 from .series import TruncatedSeries
 
 __all__ = [
@@ -51,6 +56,18 @@ def _exp_formula(n: int, coefficient) -> tuple:
     return TruncatedSeries([0, *map(coefficient, range(1, n + 1))]).exp().coefficients
 
 
+def _left_sides(max_n: int) -> list:
+    """The left sides n! (7 a_n + 49 b_{n-1}) of ``theorem_lhs`` for 1 <= n <= max_n."""
+    a = _exp_formula(max_n, d_coefficient)
+    b = _exp_formula(max_n - 1, e_coefficient)
+    sides = []
+    n_factorial = 1
+    for n in range(1, max_n + 1):
+        n_factorial *= n
+        sides.append(n_factorial * (7 * a[n] + 49 * b[n - 1]))
+    return sides
+
+
 def theorem_lhs(n: int) -> Fraction:
     """7 B_n(1! d_1, ..., n! d_n) + 49 n B_{n-1}(1! e_1, ..., (n-1)! e_{n-1}).
 
@@ -61,9 +78,7 @@ def theorem_lhs(n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("the identity is stated for n >= 1")
-    a = _exp_formula(n, d_coefficient)[n]
-    b = _exp_formula(n - 1, e_coefficient)[n - 1]
-    return Fraction(factorial(n) * (7 * a + 49 * b))
+    return Fraction(_left_sides(n)[-1])
 
 
 def theorem_rhs(n: int) -> int:
@@ -76,24 +91,15 @@ def theorem_rhs(n: int) -> int:
 def verify_theorem(max_n: int) -> VerificationReport:
     """Check lhs == rhs, exactly, for every 1 <= n <= max_n.
 
-    A pass also requires the left side to be an integer (denominator 1);
-    both sides are carried verbatim in the report so any failure is
-    diagnosable without re-running.
+    The right side is an int, so equality also means the left side is an
+    integer; both sides are carried verbatim in the report so any failure
+    is diagnosable without re-running.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     partition_count(7 * max_n + 5)  # fill the table once, up front
-    a = _exp_formula(max_n, d_coefficient)
-    b = _exp_formula(max_n - 1, e_coefficient)
-    entries = []
-    n_factorial = 1
-    for n in range(1, max_n + 1):
-        n_factorial *= n
-        lhs = n_factorial * (7 * a[n] + 49 * b[n - 1])
-        rhs = theorem_rhs(n)
-        passed = lhs.denominator == 1 and lhs == rhs
-        entries.append(CheckEntry(n, lhs, rhs, passed))
-    return VerificationReport("bell-identity", tuple(entries))
+    rows = ((n, lhs, theorem_rhs(n)) for n, lhs in enumerate(_left_sides(max_n), 1))
+    return VerificationReport.from_rows("bell-identity", rows)
 
 
 _CONGRUENCE_FAMILIES = ((5, 4), (7, 5), (11, 6))
@@ -110,10 +116,9 @@ def verify_congruences(max_k: int) -> VerificationReport:
         raise ValueError("max_k must be >= 0")
     # fill the table once, up front, at the largest index
     partition_count(max(modulus * max_k + offset for modulus, offset in _CONGRUENCE_FAMILIES))
-    entries = []
-    for modulus, offset in _CONGRUENCE_FAMILIES:
-        for k in range(max_k + 1):
-            n = modulus * k + offset
-            residue = partition_count(n) % modulus
-            entries.append(CheckEntry(n, residue, 0, residue == 0))
-    return VerificationReport("ramanujan-congruences", tuple(entries))
+    rows = (
+        (n, partition_count(n) % modulus, 0)
+        for modulus, offset in _CONGRUENCE_FAMILIES
+        for n in range(offset, modulus * max_k + offset + 1, modulus)
+    )
+    return VerificationReport.from_rows("ramanujan-congruences", rows)

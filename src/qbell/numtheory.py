@@ -2,6 +2,11 @@
 
 Everything here is exact: naturals are plain Python integers, ratios are
 ``fractions.Fraction`` values (always stored reduced).
+
+d_n and e_n are computed as their integer weights n d_n and n e_n over n.
+The paper's 7-adic form of the same values is kept as a check:
+``seven_adic_split`` and ``sigma_ratio`` serve the tests that hold d and e
+to it, and no production path calls them.
 """
 
 from fractions import Fraction
@@ -10,6 +15,7 @@ from math import isqrt
 from typing import NamedTuple
 
 __all__ = [
+    "SIGMA_LIMIT",
     "SevenAdicSplit",
     "sigma",
     "seven_adic_split",
@@ -18,16 +24,24 @@ __all__ = [
     "e_coefficient",
 ]
 
+# Largest n that sigma accepts.  A miss costs at most 1000 trial divisions,
+# and the cache holds at most 10^6 entries (about 103 MB when full).
+SIGMA_LIMIT = 10**6
+
 
 @lru_cache(maxsize=None)
 def sigma(n: int) -> int:
-    """Sum of all positive divisors of n, including 1 and n.
+    """Sum of all positive divisors of n, including 1 and n, for 1 <= n <= SIGMA_LIMIT.
 
-    Trial division up to sqrt(n); every caller in this library stays below
-    ~10^5, so nothing more sophisticated is warranted.
+    Trial division up to sqrt(n), memoized.  The cap is checked inside the
+    cached function, so a cache hit pays nothing for it, and it bounds both
+    the cost of a miss and the size of the cache.  Raises ``ValueError``
+    for n < 1 and for n > SIGMA_LIMIT.
     """
     if n < 1:
         raise ValueError("sigma is defined for n >= 1")
+    if n > SIGMA_LIMIT:
+        raise ValueError(f"sigma is capped at n <= {SIGMA_LIMIT}")
     total = 0
     for d in range(1, isqrt(n) + 1):
         if n % d == 0:
@@ -50,7 +64,11 @@ class SevenAdicSplit(NamedTuple):
 
 
 def seven_adic_split(n: int) -> SevenAdicSplit:
-    """Factor the largest power of 7 out of n >= 1."""
+    """Factor the largest power of 7 out of n >= 1.
+
+    Gives the m of the paper's 7-adic form of d and e, which the tests
+    check; d and e themselves do not use it.
+    """
     if n < 1:
         raise ValueError("seven_adic_split is defined for n >= 1")
     m = 0
@@ -65,7 +83,9 @@ def sigma_ratio(n: int) -> Fraction:
 
     Equals (7^(m+1) - 1) / (7^m - 1) with m the 7-adic valuation of n.
     Multiplicativity of sigma over coprime factors makes the ratio depend on
-    the power of 7 alone, never on the part of n coprime to 7.
+    the power of 7 alone, never on the part of n coprime to 7.  This is the
+    step from the weight form of d and e to the paper's 7-adic form; it is
+    kept for checks only.
     """
     if n < 1 or n % 7 != 0:
         raise ValueError("sigma_ratio requires a positive multiple of 7")
@@ -73,30 +93,34 @@ def sigma_ratio(n: int) -> Fraction:
     return Fraction(7 ** (m + 1) - 1, 7 ** m - 1)
 
 
-def _sigma_over_n_scaled(n: int, bump: int) -> Fraction:
-    m = seven_adic_split(n).exponent
-    return Fraction(sigma(n), n) * (1 + Fraction(bump, 7 ** (m + 1) - 1))
+def _weight(n: int, a: int, b: int) -> int:
+    """a sigma(n) - b sigma(n/7), with sigma(n/7) = 0 when 7 does not divide n."""
+    return a * sigma(n) - (b * sigma(n // 7) if n % 7 == 0 else 0)
 
 
 def d_coefficient(n: int) -> Fraction:
     """Coefficient d_n in ln(G(x)/7) = sum_{n>=1} d_n x^n.
 
-    G(x) = 7 (x^7;x^7)_inf^3 / (x;x)_inf^4.  Closed form
-    (sigma(n)/n) * (1 + 18/(7^(m+1) - 1)) with m the 7-adic valuation of n;
-    equivalently 4 sigma(n)/n, minus 3 sigma(n/7)/(n/7) when 7 | n.
+    G(x) = 7 (x^7;x^7)_inf^3 / (x;x)_inf^4, so n d_n = 4 sigma(n) -
+    21 sigma(n/7), the last term only when 7 | n, and d_n is that integer
+    weight over n.  The paper writes the same value as (sigma(n)/n) *
+    (1 + 18/(7^(m+1) - 1)) with m the 7-adic valuation of n.  Raises
+    ``ValueError`` for n < 1 and, through ``sigma``, for n > SIGMA_LIMIT.
     """
     if n < 1:
         raise ValueError("d_coefficient is defined for n >= 1")
-    return _sigma_over_n_scaled(n, 18)
+    return Fraction(_weight(n, 4, 21), n)
 
 
 def e_coefficient(n: int) -> Fraction:
     """Coefficient e_n in ln(H(x)/(49x)) = sum_{n>=1} e_n x^n.
 
-    H(x) = 49 x (x^7;x^7)_inf^7 / (x;x)_inf^8.  Closed form
-    (sigma(n)/n) * (1 + 42/(7^(m+1) - 1)); equivalently 8 sigma(n)/n,
-    minus 7 sigma(n/7)/(n/7) when 7 | n.
+    H(x) = 49 x (x^7;x^7)_inf^7 / (x;x)_inf^8, so n e_n = 8 sigma(n) -
+    49 sigma(n/7), the last term only when 7 | n, and e_n is that integer
+    weight over n.  The paper writes the same value as (sigma(n)/n) *
+    (1 + 42/(7^(m+1) - 1)).  Raises ``ValueError`` for n < 1 and, through
+    ``sigma``, for n > SIGMA_LIMIT.
     """
     if n < 1:
         raise ValueError("e_coefficient is defined for n >= 1")
-    return _sigma_over_n_scaled(n, 42)
+    return Fraction(_weight(n, 8, 49), n)

@@ -18,12 +18,6 @@ _extend_lock = threading.Lock()
 # are added entry by entry.
 _BLOCK = 64
 
-# The generalized pentagonal numbers k(3k-1)/2, k(3k+1)/2 for k = 1, 2, ...,
-# already in increasing order: 1, 2, 5, 7, 12, 15, ...  Their signs in the
-# recurrence run + + - - and repeat, so offset i is added when i & 2 == 0.
-# Grown under _extend_lock.
-_offsets = [1, 2]
-
 
 def partition_count(n: int) -> int:
     """Number of partitions of n, for 0 <= n <= PARTITION_LIMIT.
@@ -46,35 +40,44 @@ def partition_count(n: int) -> int:
     if n >= len(_table):
         if n > PARTITION_LIMIT:
             raise ValueError(f"partition_count is capped at n <= {PARTITION_LIMIT}")
+        # The generalized pentagonal numbers k(3k-1)/2, k(3k+1)/2 for k = 1,
+        # 2, ..., already in increasing order: 1, 2, 5, 7, 12, 15, ...  Their
+        # signs in the recurrence run + + - - and repeat, so offset i is added
+        # when i & 2 == 0.  Every offset <= n is listed.
+        offsets = []
+        k = 1
+        while (g := k * (3 * k - 1) // 2) <= n:
+            offsets += (g, g + k)
+            k += 1
         with _extend_lock:
             table = _table
-            while _offsets[-1] <= n:
-                k = len(_offsets) // 2 + 1
-                g = k * (3 * k - 1) // 2
-                _offsets.extend((g, g + k))
             for lo in range(len(table), n + 1, _BLOCK):
-                _fill_block(table, lo, min(lo + _BLOCK, n + 1))
+                _fill_block(table, lo, min(lo + _BLOCK, n + 1), offsets)
     return _table[n]
 
 
-def _fill_block(table: list[int], lo: int, hi: int) -> None:
-    """Append p(lo) .. p(hi - 1) to table, which holds p(0) .. p(lo - 1)."""
+def _fill_block(table: list[int], lo: int, hi: int, offsets: list[int]) -> None:
+    """Append p(lo) .. p(hi - 1) to table, which holds p(0) .. p(lo - 1).
+
+    offsets lists the generalized pentagonal numbers in increasing order, at
+    least every one below hi.
+    """
     width = hi - lo
-    small = bisect_left(_offsets, width)
+    small = bisect_left(offsets, width)
     zeros = [0] * width
     plus, minus = [zeros], [zeros]
     # An offset g >= width reads p(m - g) with m - g < lo for every m in the
     # block, so its terms for the whole block are one slice, p(lo - g) ..
     # p(hi - 1 - g), zero below index 0.
-    for i in range(small, bisect_right(_offsets, hi - 1)):
-        g = _offsets[i]
+    for i in range(small, bisect_right(offsets, hi - 1)):
+        g = offsets[i]
         if g <= lo:
             shifted = table[lo - g : hi - g]
         else:
             shifted = [0] * (g - lo) + table[: hi - g]
         (minus if i & 2 else plus).append(shifted)
     large = [a - b for a, b in zip(map(sum, zip(*plus)), map(sum, zip(*minus)))]
-    offsets = _offsets[:small]
+    offsets = offsets[:small]
     for m, total in enumerate(large, lo):
         for i, g in enumerate(offsets):
             if g > m:

@@ -28,6 +28,16 @@ class VerificationReport:
     label: str
     entries: tuple[CheckEntry, ...]
 
+    @classmethod
+    def from_rows(cls, label: str, rows) -> "VerificationReport":
+        """A report of (index, computed, expected) rows; an entry passes when computed == expected.
+
+        This is the one pass rule of every report.  An int expected value
+        equals a ``Fraction`` only when the ``Fraction`` is that integer, so
+        the rule needs no separate integrality clause.
+        """
+        return cls(label, tuple(CheckEntry(n, c, e, c == e) for n, c, e in rows))
+
     @property
     def overall_pass(self) -> bool:
         return all(entry.passed for entry in self.entries)

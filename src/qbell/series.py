@@ -15,7 +15,7 @@ from operator import mul
 from typing import Iterable
 
 from .partitions import partition_count
-from .reports import CheckEntry, VerificationReport, format_exact
+from .reports import VerificationReport, format_exact
 
 __all__ = [
     "TruncatedSeries",
@@ -320,11 +320,11 @@ def _residue_class_report(
 ) -> VerificationReport:
     """Check coefficient n of s against p(modulus * n + residue) for every n."""
     partition_count(modulus * s.order + residue)  # fill the table once, up front
-    entries = []
-    for n, computed in enumerate(s.coefficients):
-        expected = partition_count(modulus * n + residue)
-        entries.append(CheckEntry(n, computed, expected, computed == expected))
-    return VerificationReport(label, tuple(entries))
+    rows = (
+        (n, computed, partition_count(modulus * n + residue))
+        for n, computed in enumerate(s.coefficients)
+    )
+    return VerificationReport.from_rows(label, rows)
 
 
 def verify_p7n5_identity(order: int) -> VerificationReport:

@@ -45,6 +45,10 @@ def test_bell_command(capsys):
     assert run_cli(capsys, ["bell", "0"]) == (0, "1\n", "")
 
 
+def test_bell_runs_at_its_cap(capsys):
+    assert run_cli(capsys, ["bell", "1000", *["0"] * 1000]) == (0, "0\n", "")
+
+
 def test_bell_accepts_negative_rationals(capsys):
     code, out, err = run_cli(capsys, ["bell", "3", "1/2", "-2", "3"])
     assert (code, out, err) == (0, "1/8\n", "")
@@ -175,6 +179,9 @@ def test_usage_errors_exit_two(capsys, argv):
         ["verify", "eq2", "--order", "40000"],
         ["verify", "all", "--max-n", "1524"],
         ["series", "euler", "--order", "1000000000000000"],
+        ["sigma", "1000000000000000000000"],
+        ["coeff", "d", "1000000000000000000000"],
+        ["bell", "1001", *["1"] * 1001],
     ],
 )
 def test_precondition_errors_exit_three(capsys, argv):

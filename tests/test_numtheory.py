@@ -9,6 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qbell.numtheory import (
+    SIGMA_LIMIT,
     SevenAdicSplit,
     d_coefficient,
     e_coefficient,
@@ -68,6 +69,15 @@ def test_sigma_matches_sympy_at_seeded_indices():
 def test_sigma_rejects_nonpositive(bad):
     with pytest.raises(ValueError):
         sigma(bad)
+
+
+def test_sigma_is_capped():
+    assert SIGMA_LIMIT == 10**6
+    assert sigma(SIGMA_LIMIT) == 127 * 19531  # sigma(2^6) sigma(5^6)
+    for func in (sigma, d_coefficient, e_coefficient):
+        with pytest.raises(ValueError, match="capped"):
+            func(SIGMA_LIMIT + 1)
+    assert sigma.cache_info().currsize <= SIGMA_LIMIT
 
 
 @given(a=st.integers(min_value=1, max_value=1000), b=st.integers(min_value=1, max_value=1000))
@@ -160,6 +170,11 @@ def test_closed_forms_agree_with_branch_forms():
     for n in range(1, 400):
         assert d_coefficient(n) == d_by_branch(n)
         assert e_coefficient(n) == e_by_branch(n)
+    # the paper's 7-adic form, which d and e are no longer computed from
+    for n in range(1, 10**4):
+        m = seven_adic_split(n).exponent
+        assert d_coefficient(n) == Fraction(sigma(n), n) * (1 + Fraction(18, 7 ** (m + 1) - 1))
+        assert e_coefficient(n) == Fraction(sigma(n), n) * (1 + Fraction(42, 7 ** (m + 1) - 1))
 
 
 def test_e_is_double_d_away_from_multiples_of_seven():
