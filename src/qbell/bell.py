@@ -5,9 +5,11 @@ variable x_i, so all docstrings below speak in 1-based indices.
 """
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import factorial, lcm
 from operator import add, mul
 from typing import Iterator, Sequence
+
+from .series import TruncatedSeries
 
 __all__ = [
     "partial_bell",
@@ -18,48 +20,21 @@ __all__ = [
 ]
 
 
-def _scaled_ints(args: Sequence, count: int) -> tuple[list[int], int]:
-    """(y, b) with b the lcm of the denominators of x_1..x_count and y_i = b^i x_i.
-
-    Each y_i is an int.  Both recurrences below are homogeneous of weight m
-    in the x_i (x_i has weight i), so running them over the y_i yields b^m
-    times the value at the x_i; dividing by b^m once at the end recovers it.
-    """
-    xs = [Fraction(a) for a in args[:count]]
-    b = lcm(*(x.denominator for x in xs))
-    ys = []
-    power = 1
-    for x in xs:
-        power *= b
-        ys.append(x.numerator * (power // x.denominator))
-    return ys, b
-
-
 def partial_bell(n: int, k: int, args: Sequence) -> Fraction:
     """Partial Bell polynomial B_{n,k}(x_1, ..., x_{n-k+1}).
 
-    Computed by the recurrence
-        B_{n,k} = sum_{i=1}^{n-k+1} C(n-1, i-1) x_i B_{n-i,k-1}
-    with B_{0,0} = 1 and B_{m,0} = 0 for m >= 1, over the ints y_i = b^i x_i,
-    where b is the lcm of the argument denominators;
-    B_{n,k}(y) = b^n B_{n,k}(x).
+    By the exponential formula (Comtet, *Advanced Combinatorics*, 1974, 3.3),
+        B_{n,k}(x) = (n!/k!) [t^n] S(t)^k,  S(t) = sum_{i=1}^{n-k+1} x_i t^i / i!,
+    with the power taken by :meth:`TruncatedSeries.__pow__` (Miller's
+    recurrence; a zero x_1 is shifted out there).
     """
     if k < 1 or k > n:
         raise ValueError("partial_bell requires 1 <= k <= n")
     if len(args) < n - k + 1:
         raise ValueError(f"need x_1..x_{n - k + 1}, got {len(args)} arguments")
-    ys, b = _scaled_ints(args, n - k + 1)
-    # Only cells with m - j <= n - k can feed B_{n,k}; restricting to them
-    # also keeps every y index within the n-k+1 arguments used.
-    table = [[0] * (k + 1) for _ in range(n + 1)]
-    table[0][0] = 1
-    for j in range(1, k + 1):
-        for m in range(j, n - k + j + 1):
-            table[m][j] = sum(
-                comb(m - 1, i - 1) * ys[i - 1] * table[m - i][j - 1]
-                for i in range(1, m - j + 2)
-            )
-    return Fraction(table[n][k], b**n)
+    terms = (Fraction(x) / factorial(i) for i, x in enumerate(args[: n - k + 1], start=1))
+    power = TruncatedSeries([0, *terms], n) ** k
+    return Fraction(factorial(n), factorial(k)) * power[n]
 
 
 ENUMERATION_LIMIT = 20
@@ -71,7 +46,7 @@ def partial_bell_by_enumeration(n: int, k: int, args: Sequence) -> Fraction:
     Sums n!/(j_1! ... j_{n-k+1}!) * prod_i (x_i/i!)^{j_i} over every index
     tuple (j_1, ..., j_{n-k+1}) with sum j_i = k and sum i*j_i = n.  The
     tuple enumeration is exponential, hence the n <= 20 guard; this path
-    exists as an oracle for the recurrence above.
+    exists as an oracle for the series route above.
     """
     if k < 1 or k > n:
         raise ValueError("partial_bell_by_enumeration requires 1 <= k <= n")
@@ -131,12 +106,20 @@ def complete_bell_sequence(n: int, args: Sequence) -> list[Fraction]:
 
 
 def _scaled_complete_bell(n: int, args: Sequence) -> tuple[list[int], int]:
-    # ([B_0(y), ..., B_n(y)], b); row holds C(m, 0..m), advanced by Pascal's rule
+    # ([B_0(y), ..., B_n(y)], b) with y_i = b^i x_i, each an int; the
+    # recurrence is homogeneous of weight m in the x_i (x_i has weight i), so
+    # B_m(y) = b^m B_m(x).  row holds C(m, 0..m), advanced by Pascal's rule.
     if n < 0:
         raise ValueError("complete_bell is defined for n >= 0")
     if len(args) < n:
         raise ValueError(f"need x_1..x_{n}, got {len(args)} arguments")
-    ys, b = _scaled_ints(args, n)
+    xs = [Fraction(a) for a in args[:n]]
+    b = lcm(*(x.denominator for x in xs))
+    ys = []
+    power = 1
+    for x in xs:
+        power *= b
+        ys.append(x.numerator * (power // x.denominator))
     seq = [1]
     row = [1]
     for _ in range(n):

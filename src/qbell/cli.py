@@ -14,6 +14,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import lcm
 
 from . import identity, series
 from .bell import complete_bell
@@ -42,9 +43,9 @@ _EQ3_MAX_ORDER = (PARTITION_LIMIT - 5) // 7
 # cannot print past.  The limit is process-global, so it is not raised.
 _THEOREM_MAX_N = 1523
 
-# Largest bell n.  B_n of n one-digit arguments takes about 1.6 s at n = 1000
-# and 23 s at n = 2000, and the digit guard on the result fires only after
-# that work.  The library's complete_bell stays uncapped.
+# Largest bell n.  B_n of n one-digit integers takes about 1.8 s at n = 1000
+# and 23 s at n = 2000; _cmd_bell bounds the size of the arguments by the
+# digit limit before any work.  The library's complete_bell stays uncapped.
 _BELL_MAX_N = 1000
 
 # verify targets in `verify all` order: name, help, size flag, its default
@@ -132,10 +133,25 @@ def _cmd_bell(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         xs = [parse_rational(text) for text in args.xs]
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
-    value = complete_bell(args.n, xs)
     limit = getattr(sys, "get_int_max_str_digits", int)()
+    capped = ValueError(f"bell results are capped at {limit} digits, the interpreter's int limit")
+    if limit and args.n > 0:
+        # Refused before any work: B_n holds the monomial x_i^(n // i), of up
+        # to n // i times the digits of x_i's numerator, and its denominator
+        # divides b^n, b the lcm of the denominators.  b^n is built only when
+        # it is below 2^(4 limit), which is above 10^limit.
+        n = args.n
+        b = lcm(*(x.denominator for x in xs))
+        if (
+            any(abs(x.numerator) >= 10 ** (limit // (n // i)) for i, x in enumerate(xs, 1))
+            or n * (b.bit_length() - 1) >= 4 * limit
+            or b**n >= 10**limit
+        ):
+            raise capped
+    value = complete_bell(args.n, xs)
+    # the estimate leaves out coefficients and carries: B_2(1, 10^4300 - 1) = 10^4300
     if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
-        raise ValueError(f"bell results are capped at {limit} digits, the interpreter's int limit")
+        raise capped
     print(format_exact(value))
     return 0
 

@@ -40,20 +40,27 @@ def partition_count(n: int) -> int:
     if n >= len(_table):
         if n > PARTITION_LIMIT:
             raise ValueError(f"partition_count is capped at n <= {PARTITION_LIMIT}")
-        # The generalized pentagonal numbers k(3k-1)/2, k(3k+1)/2 for k = 1,
-        # 2, ..., already in increasing order: 1, 2, 5, 7, 12, 15, ...  Their
-        # signs in the recurrence run + + - - and repeat, so offset i is added
-        # when i & 2 == 0.  Every offset <= n is listed.
-        offsets = []
-        k = 1
-        while (g := k * (3 * k - 1) // 2) <= n:
-            offsets += (g, g + k)
-            k += 1
+        # The signs of the offsets in the recurrence run + + - - and repeat,
+        # so offset i is added when i & 2 == 0.
+        offsets = pentagonal_numbers(n)
         with _extend_lock:
             table = _table
             for lo in range(len(table), n + 1, _BLOCK):
                 _fill_block(table, lo, min(lo + _BLOCK, n + 1), offsets)
     return _table[n]
+
+
+def pentagonal_numbers(n: int) -> list[int]:
+    """The generalized pentagonal numbers <= n, in increasing order.
+
+    k(3k-1)/2 and k(3k+1)/2 for k = 1, 2, ...: 1, 2, 5, 7, 12, 15, ...
+    """
+    out = []
+    k = 1
+    while (g := k * (3 * k - 1) // 2) <= n:
+        out += (g, g + k)
+        k += 1
+    return out[: bisect_right(out, n)]
 
 
 def _fill_block(table: list[int], lo: int, hi: int, offsets: list[int]) -> None:

@@ -1,12 +1,15 @@
 """Shared test plumbing: collects acceptance-criterion outcomes for the
 terminal summary so a plain ``pytest`` run ends with one line per criterion,
-and lets the tests' child processes import the qbell that the tests import.
+lets the tests' child processes import the qbell that the tests import, and
+holds the test oracles that more than one test module uses.
 """
 
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import qbell
+from qbell.numtheory import sigma
 
 CRITERION_LINES: list[str] = []
 
@@ -15,6 +18,22 @@ def record_criterion(number: int, passed: bool, text: str) -> None:
     line = f"criterion {number}: {'PASS' if passed else 'FAIL'} - {text}"
     CRITERION_LINES.append(line)
     print(line)
+
+
+# d_n and e_n by their defining branches, sigma(n)/n with the correction
+# at multiples of 7 written out
+def d_by_branch(n: int) -> Fraction:
+    value = 4 * Fraction(sigma(n), n)
+    if n % 7 == 0:
+        value -= 3 * Fraction(sigma(n // 7), n // 7)
+    return value
+
+
+def e_by_branch(n: int) -> Fraction:
+    value = 8 * Fraction(sigma(n), n)
+    if n % 7 == 0:
+        value -= 7 * Fraction(sigma(n // 7), n // 7)
+    return value
 
 
 def pytest_terminal_summary(terminalreporter):

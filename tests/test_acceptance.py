@@ -12,7 +12,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import record_criterion
+from conftest import d_by_branch, e_by_branch, record_criterion
 
 from qbell import cli
 from qbell.bell import complete_bell, partial_bell, partial_bell_by_enumeration
@@ -30,20 +30,6 @@ from qbell.series import TruncatedSeries, extract_log_coefficients
 def run_cli(capsys, argv):
     code = cli.main(argv)
     return code, capsys.readouterr().out
-
-
-def d_by_branch(n: int) -> Fraction:
-    value = 4 * Fraction(sigma(n), n)
-    if n % 7 == 0:
-        value -= 3 * Fraction(sigma(n // 7), n // 7)
-    return value
-
-
-def e_by_branch(n: int) -> Fraction:
-    value = 8 * Fraction(sigma(n), n)
-    if n % 7 == 0:
-        value -= 7 * Fraction(sigma(n // 7), n // 7)
-    return value
 
 
 def test_criterion_1_bell_identity_sweep(capsys):

@@ -69,6 +69,11 @@ def test_partial_all_ones_gives_stirling_second_kind():
     assert [partial_bell(6, k, [1] * (6 - k + 1)) for k in range(1, 7)] == [
         1, 31, 90, 65, 15, 1,
     ]
+    # row 40, past the enumeration limit, from S(m, k) = k S(m-1, k) + S(m-1, k-1)
+    row = [1]
+    for m in range(1, 41):
+        row = [0, *(k * a + b for k, (a, b) in enumerate(zip(row[1:] + [0], row), 1))]
+    assert [partial_bell(40, k, [1] * (40 - k + 1)) for k in range(1, 41)] == row[1:]
 
 
 def test_partial_at_factorials_gives_lah_numbers():
@@ -148,7 +153,7 @@ def test_bell_numbers_match_set_partition_enumeration():
 
 def test_complete_equals_sum_of_partials():
     rng = random.Random(97)
-    for n in range(1, 13):
+    for n in [*range(1, 13), 24, 40]:
         args = [Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(n)]
         total = sum(partial_bell(n, k, args[: n - k + 1]) for k in range(1, n + 1))
         assert complete_bell(n, args) == total

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -182,6 +183,7 @@ def test_usage_errors_exit_two(capsys, argv):
         ["sigma", "1000000000000000000000"],
         ["coeff", "d", "1000000000000000000000"],
         ["bell", "1001", *["1"] * 1001],
+        ["bell", "1000", *["9" * 100] * 1000],  # B_1000 would have 100,000 digits
     ],
 )
 def test_precondition_errors_exit_three(capsys, argv):
@@ -275,6 +277,29 @@ def test_bell_refuses_values_past_the_digit_limit(capsys, argv):
     assert (code, out) == (3, "")
     assert err.startswith("error:") and f"capped at {limit} digits" in err
     assert "set_int_max_str_digits" not in err  # qbell's message, not the interpreter's
+
+
+def test_bell_argument_check_passes_results_within_the_limit(capsys):
+    # x_2 enters B_2 and B_3 only to the first power, and x_1 = 0
+    assert run_cli(capsys, ["bell", "2", "0", "9" * 4300]) == (0, "9" * 4300 + "\n", "")
+    assert run_cli(capsys, ["bell", "3", "0", "7" * 3000, "0"]) == (0, "0\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (["bell", "2", "9" * 2150, "0"], False),  # n // 1 * 2150 digits = 4300
+        (["bell", "2", "1" + "0" * 2150, "0"], True),  # 4302 digits
+        (["bell", "2", "1/" + "9" * 2150, "0"], False),  # b^2 < 10^4300
+        (["bell", "2", "1/1" + "0" * 2150, "0"], True),  # b^2 = 10^4300
+        (["bell", "2", "1/" + "9" * 3000, "0"], True),  # b^2 past 2^(4 * 4300)
+    ],
+)
+def test_bell_argument_check_runs_before_any_work(capsys, monkeypatch, argv, refused):
+    calls = []
+    monkeypatch.setattr(cli, "complete_bell", lambda n, xs: calls.append(n) or Fraction(0))
+    code, out, err = run_cli(capsys, argv)
+    assert (code, calls) == ((3, []) if refused else (0, [int(argv[1])]))
 
 
 def test_bell_digit_guard_follows_the_interpreter_limit(capsys):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from conftest import d_by_branch, e_by_branch
+
 from qbell.numtheory import (
     SIGMA_LIMIT,
     SevenAdicSplit,
@@ -21,20 +23,6 @@ from qbell.numtheory import (
 
 def sigma_by_scan(n: int) -> int:
     return sum(d for d in range(1, n + 1) if n % d == 0)
-
-
-def d_by_branch(n: int) -> Fraction:
-    value = 4 * Fraction(sigma(n), n)
-    if n % 7 == 0:
-        value -= 3 * Fraction(sigma(n // 7), n // 7)
-    return value
-
-
-def e_by_branch(n: int) -> Fraction:
-    value = 8 * Fraction(sigma(n), n)
-    if n % 7 == 0:
-        value -= 7 * Fraction(sigma(n // 7), n // 7)
-    return value
 
 
 # -- sigma -------------------------------------------------------------------
