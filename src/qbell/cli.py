@@ -5,6 +5,10 @@ coefficient per line; ``verify`` prints a JSON report and exits 0 only when
 every check passed.  Diagnostics go to stderr, output is byte-identical
 across runs.
 
+Each subparser declares its handler ``run`` (returning the exit code, None
+for 0) and its ``bounds``, rows of (label, dest, smallest or None, largest)
+accepted size; ``main`` checks every bound before it calls the handler.
+
 Exit codes: 0 success or verified, 1 a verification entry failed, 2 usage
 or parse error, 3 precondition violation, a size past its cap included.
 """
@@ -26,13 +30,9 @@ __all__ = ["main", "entry", "build_parser", "parse_rational"]
 
 _RATIONAL_SYNTAX = re.compile(r"^[+-]?\d+(/\d+)?$")
 
-# Functions are looked up at call time, so a module attribute patched after
-# import (a test double, a tracer) is the one that runs.
-_SERIES = {
-    "euler": lambda order: series.euler_product(order),
-    "G": lambda order: series.series_g(order),
-    "H": lambda order: series.series_h(order),
-}
+# Function names in qbell.series.  Every library function is looked up at
+# call time, so one patched after import (a test double, a tracer) runs.
+_SERIES = {"euler": "euler_product", "G": "series_g", "H": "series_h"}
 
 # Largest eq3 --order, p(7N+5) <= PARTITION_LIMIT; series --order builds the
 # same G and H, so it shares the cap.
@@ -48,30 +48,31 @@ _THEOREM_MAX_N = 1523
 # digit limit before any work.  The library's complete_bell stays uncapped.
 _BELL_MAX_N = 1000
 
-# verify targets in `verify all` order: name, help, size flag, its default
-# under `verify all`, its largest accepted value, and the report it runs.
-# Past the theorem, each cap keeps the largest p(m * size + r) that the
-# report reads within PARTITION_LIMIT.
+# verify targets in `verify all` order: name, help, size flag, its smallest
+# (the report's own), default (under `verify all`) and largest value, and the
+# report it runs on that size.  Past the theorem, each cap keeps the largest
+# p(m * size + r) that the report reads within PARTITION_LIMIT.
 _VERIFY_TARGETS = (
-    ("theorem", "Bell-polynomial identity for n! p(7n+5)", "--max-n", 64,
-     _THEOREM_MAX_N,
-     lambda args: identity.verify_theorem(args.max_n)),
-    ("eq2", "series identity for p(5k+4)", "--order", 200,
-     (PARTITION_LIMIT - 4) // 5,
-     lambda args: series.verify_p5k4_identity(args.order)),
-    ("eq3", "series identity for p(7n+5)", "--order", 200, _EQ3_MAX_ORDER,
-     lambda args: series.verify_p7n5_identity(args.order)),
-    ("congruences", "p(5k+4), p(7k+5), p(11k+6) divisibility", "--max-k", 1000,
-     (PARTITION_LIMIT - 6) // 11,
-     lambda args: identity.verify_congruences(args.max_k)),
+    ("theorem", "Bell-polynomial identity for n! p(7n+5)", "--max-n", 1, 64,
+     _THEOREM_MAX_N, lambda size: identity.verify_theorem(size)),
+    ("eq2", "series identity for p(5k+4)", "--order", 0, 200,
+     (PARTITION_LIMIT - 4) // 5, lambda size: series.verify_p5k4_identity(size)),
+    ("eq3", "series identity for p(7n+5)", "--order", 0, 200,
+     _EQ3_MAX_ORDER, lambda size: series.verify_p7n5_identity(size)),
+    ("congruences", "p(5k+4), p(7k+5), p(11k+6) divisibility", "--max-k", 0, 1000,
+     (PARTITION_LIMIT - 6) // 11, lambda size: identity.verify_congruences(size)),
 )
+
+
+def _digit_limit() -> int:
+    return getattr(sys, "get_int_max_str_digits", int)()  # digits of str(int); 0: no limit
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse "num" or "num/den" with an optional sign; no decimal points."""
     if not _RATIONAL_SYNTAX.match(text):
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    limit = _digit_limit()
     if limit and max(map(len, re.findall(r"\d+", text))) > limit:
         raise ValueError(f"a rational is capped at {limit} digits, the interpreter's int limit")
     try:
@@ -90,13 +91,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="print p(n)")
     p.add_argument("n", type=int)
+    p.set_defaults(run=lambda args: print(partition_count(args.n)), bounds=())
 
     p = sub.add_parser("sigma", help="print the sum of divisors of n")
     p.add_argument("n", type=int)
+    p.set_defaults(run=lambda args: print(sigma(args.n)), bounds=())
 
     p = sub.add_parser("coeff", help="print the coefficient d_n or e_n")
     p.add_argument("which", choices=("d", "e"))
     p.add_argument("n", type=int)
+    p.set_defaults(run=_cmd_coeff, bounds=())
 
     p = sub.add_parser(
         "bell",
@@ -105,27 +109,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("n", type=int)
     p.add_argument("xs", nargs=argparse.REMAINDER, metavar="x")
+    p.set_defaults(run=lambda args: _cmd_bell(parser, args),
+                   bounds=[("bell n", "n", None, _BELL_MAX_N)])
 
     p = sub.add_parser(
         "series", help="print a truncated series, one coefficient per line"
     )
     p.add_argument("which", choices=tuple(_SERIES))
     p.add_argument("--order", type=int, required=True)
+    p.set_defaults(run=_cmd_series, bounds=[("series --order", "order", None, _EQ3_MAX_ORDER)])
 
     v = sub.add_parser("verify", help="run a verification report (JSON on stdout)")
     vsub = v.add_subparsers(dest="target", required=True)
-    for name, help_text, flag, *_ in _VERIFY_TARGETS:
-        vsub.add_parser(name, help=help_text).add_argument(flag, type=int, required=True)
-    q = vsub.add_parser("all", help="every verification at full scale")
-    for flag, default in {flag: default for _, _, flag, default, *_ in _VERIFY_TARGETS}.items():
-        q.add_argument(flag, type=int, default=default)
+    for target in _VERIFY_TARGETS:  # name, help, flag first
+        p = vsub.add_parser(target[0], help=target[1])
+        p.add_argument(target[2], type=int, required=True)
+        _declare_verify(p, [target])
+    p = vsub.add_parser("all", help="every verification at full scale")
+    for flag, default in {flag: default for _, _, flag, _, default, *_ in _VERIFY_TARGETS}.items():
+        p.add_argument(flag, type=int, default=default)
+    _declare_verify(p, _VERIFY_TARGETS)
 
     return parser
 
 
-def _cmd_bell(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if args.n > _BELL_MAX_N:
-        raise ValueError(f"bell n is capped at {_BELL_MAX_N}")
+def _declare_verify(p: argparse.ArgumentParser, targets) -> None:
+    bounds = [(f"verify {name} {flag}", flag[2:].replace("-", "_"), low, cap)
+              for name, _, flag, low, _, cap, _ in targets]
+    p.set_defaults(run=_cmd_verify, checks=[target[-1] for target in targets], bounds=bounds)
+
+
+def _cmd_coeff(args: argparse.Namespace) -> None:
+    print(format_exact(d_coefficient(args.n) if args.which == "d" else e_coefficient(args.n)))
+
+
+def _cmd_bell(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     # a negative n is a precondition error, raised by complete_bell below
     if args.n >= 0 and len(args.xs) != args.n:
         parser.error(f"bell {args.n} takes exactly {args.n} argument(s), got {len(args.xs)}")
@@ -133,7 +151,7 @@ def _cmd_bell(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         xs = [parse_rational(text) for text in args.xs]
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
-    limit = getattr(sys, "get_int_max_str_digits", int)()
+    limit = _digit_limit()
     capped = ValueError(f"bell results are capped at {limit} digits, the interpreter's int limit")
     if limit and args.n > 0:
         # Refused before any work: B_n holds the monomial x_i^(n // i), of up
@@ -153,29 +171,19 @@ def _cmd_bell(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
         raise capped
     print(format_exact(value))
-    return 0
 
 
-def _cmd_series(args: argparse.Namespace) -> int:
-    if args.order > _EQ3_MAX_ORDER:
-        raise ValueError(f"series --order is capped at {_EQ3_MAX_ORDER}")
-    for line in series.coefficient_lines(_SERIES[args.which](args.order)):
+def _cmd_series(args: argparse.Namespace) -> None:
+    for line in series.coefficient_lines(getattr(series, _SERIES[args.which])(args.order)):
         print(line)
-    return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    targets = [target for target in _VERIFY_TARGETS if args.target in (target[0], "all")]
-    # every cap is checked before any report runs
-    for name, _, flag, _, cap, _ in targets:
-        if getattr(args, flag[2:].replace("-", "_")) > cap:
-            raise ValueError(f"verify {name} {flag} is capped at {cap}")
-    reports = [run(args) for *_, run in targets]
-    if args.target == "all":
-        payload = [report.to_json_dict() for report in reports]
-    else:
-        payload = reports[0].to_json_dict()
-    print(json.dumps(payload, indent=2))
+    # one bound row per check, in the same order
+    sizes = [getattr(args, dest) for _, dest, _, _ in args.bounds]
+    reports = [check(size) for check, size in zip(args.checks, sizes)]
+    payload = [report.to_json_dict() for report in reports]
+    print(json.dumps(payload if args.target == "all" else payload[0], indent=2))
     return 0 if all(report.overall_pass for report in reports) else 1
 
 
@@ -184,25 +192,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "partition":
-            print(partition_count(args.n))
-        elif args.command == "sigma":
-            print(sigma(args.n))
-        elif args.command == "coeff":
-            value = d_coefficient(args.n) if args.which == "d" else e_coefficient(args.n)
-            print(format_exact(value))
-        elif args.command == "bell":
-            return _cmd_bell(parser, args)
-        elif args.command == "series":
-            return _cmd_series(args)
-        else:
-            return _cmd_verify(args)
-        return 0
+        # every cap first, so a size past its cap is named whatever the others are
+        for label, dest, _, cap in args.bounds:
+            if getattr(args, dest) > cap:
+                raise ValueError(f"{label} is capped at {cap}")
+        for _, dest, low, _ in args.bounds:
+            if low is not None and getattr(args, dest) < low:
+                raise ValueError(f"{dest} must be >= {low}")  # the library's message
+        return args.run(args) or 0
     except SystemExit as exc:  # argparse usage errors and --help
         return exc.code if isinstance(exc.code, int) else 2
-    except argparse.ArgumentTypeError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

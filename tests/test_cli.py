@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from qbell import cli
-from qbell.identity import theorem_rhs
+from qbell.identity import theorem_rhs, verify_congruences, verify_theorem
+from qbell.series import verify_p5k4_identity, verify_p7n5_identity
 
 
 def run_cli(capsys, argv):
@@ -184,6 +185,7 @@ def test_usage_errors_exit_two(capsys, argv):
         ["coeff", "d", "1000000000000000000000"],
         ["bell", "1001", *["1"] * 1001],
         ["bell", "1000", *["9" * 100] * 1000],  # B_1000 would have 100,000 digits
+        ["verify", "all", "--max-n", "1523", "--order", "28570", "--max-k", "-1"],
     ],
 )
 def test_precondition_errors_exit_three(capsys, argv):
@@ -232,6 +234,32 @@ def test_verify_caps_are_checked_before_any_report(capsys, stub_reports, argv, c
     code, out, err = run_cli(capsys, argv)
     assert (code, out, stub_reports) == (3, "", [])
     assert f"capped at {cap}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, report, size",
+    [
+        (["verify", "all", "--max-n", "0"], verify_theorem, 0),
+        (["verify", "all", "--order", "-1"], verify_p5k4_identity, -1),
+        (["verify", "all", "--max-k", "-1"], verify_congruences, -1),
+        (["verify", "theorem", "--max-n", "-5"], verify_theorem, -5),
+        (["verify", "eq3", "--order", "-1"], verify_p7n5_identity, -1),
+    ],
+)
+def test_verify_lower_bounds_are_checked_before_any_report(
+    capsys, stub_reports, argv, report, size
+):
+    # the front end refuses the size with the message the report itself raises
+    with pytest.raises(ValueError) as raised:
+        report(size)
+    assert run_cli(capsys, argv) == (3, "", f"error: {raised.value}\n")
+    assert stub_reports == []
+
+
+def test_verify_caps_are_checked_before_lower_bounds(capsys, stub_reports):
+    argv = ["verify", "all", "--max-n", "0", "--order", "30000"]
+    assert run_cli(capsys, argv) == (3, "", "error: verify eq3 --order is capped at 28570\n")
+    assert stub_reports == []
 
 
 def test_verify_runs_at_its_cap(capsys, stub_reports):
