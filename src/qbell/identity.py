@@ -8,7 +8,10 @@ For n >= 1, with d and e the coefficient sequences from
 
 This module evaluates the two sides independently and reports on their
 equality, and it sweeps the three classical partition congruences
-(p(5k+4) mod 5, p(7k+5) mod 7, p(11k+6) mod 11).
+(p(5k+4) mod 5, p(7k+5) mod 7, p(11k+6) mod 11).  The right side reads
+the exact partition table of ``partition_count``; the congruence sweep
+needs residues only and reads a local table of p(n) mod 385 from
+``partition_residues``.
 
 The left side comes from the exponential formula (Comtet, *Advanced
 Combinatorics*, 1974, 3.3):
@@ -30,10 +33,10 @@ and both reports here pass an entry exactly when its two sides are equal
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .numtheory import d_coefficient, e_coefficient
-from .partitions import partition_count
+from .partitions import partition_count, partition_residues
 from .reports import VerificationReport
 from .series import TruncatedSeries
 
@@ -103,6 +106,7 @@ def verify_theorem(max_n: int) -> VerificationReport:
 
 
 _CONGRUENCE_FAMILIES = ((5, 4), (7, 5), (11, 6))
+_CONGRUENCE_MODULUS = prod(modulus for modulus, _ in _CONGRUENCE_FAMILIES)  # 385
 
 
 def verify_congruences(max_k: int) -> VerificationReport:
@@ -110,14 +114,16 @@ def verify_congruences(max_k: int) -> VerificationReport:
 
     One entry per (modulus, k) pair for 0 <= k <= max_k, grouped by modulus
     in the order 5, 7, 11; the entry index is the partition argument and
-    the computed value is the residue.
+    the computed value is the residue.  The residues come from one table of
+    p(n) mod 385, filled once to the largest index and local to this call;
+    the exact partition table is neither read nor grown.
     """
     if max_k < 0:
         raise ValueError("max_k must be >= 0")
-    # fill the table once, up front, at the largest index
-    partition_count(max(modulus * max_k + offset for modulus, offset in _CONGRUENCE_FAMILIES))
+    largest = max(modulus * max_k + offset for modulus, offset in _CONGRUENCE_FAMILIES)
+    residues = partition_residues(largest, _CONGRUENCE_MODULUS)
     rows = (
-        (n, partition_count(n) % modulus, 0)
+        (n, residues[n] % modulus, 0)
         for modulus, offset in _CONGRUENCE_FAMILIES
         for n in range(offset, modulus * max_k + offset + 1, modulus)
     )

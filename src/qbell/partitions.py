@@ -32,8 +32,11 @@ def partition_count(n: int) -> int:
     sqrt(_BLOCK)) additions in all, run in the interpreter.  The fill
     gains little when the table grows a few entries per call, so a caller
     that reads many indices fills it once, at its largest index, first.
-    Raises ``ValueError`` for n < 0 and for n > PARTITION_LIMIT, so the
-    table never holds more than PARTITION_LIMIT + 1 entries.
+    This exact table serves the theorem's right side, the series checks and
+    ``qbell partition``; the congruence sweep needs only residues and reads
+    ``partition_residues`` instead.  Raises ``ValueError`` for n < 0 and for
+    n > PARTITION_LIMIT, so the table never holds more than
+    PARTITION_LIMIT + 1 entries.
     """
     if n < 0:
         raise ValueError("partition_count is defined for n >= 0")
@@ -50,6 +53,27 @@ def partition_count(n: int) -> int:
     return _table[n]
 
 
+def partition_residues(n: int, modulus: int) -> list[int]:
+    """p(0) .. p(n) mod modulus, for 0 <= n <= PARTITION_LIMIT and modulus >= 1.
+
+    The pentagonal recurrence has integer coefficients, so it runs mod
+    modulus as it stands: the blocked fill of ``partition_count`` reduces
+    each entry as it appends it and so adds small ints only.  The list is
+    built afresh for each call and shared with no one.  Raises
+    ``ValueError`` for n < 0 and for n > PARTITION_LIMIT, as
+    ``partition_count`` does.
+    """
+    if n < 0:
+        raise ValueError("partition_residues is defined for n >= 0")
+    if n > PARTITION_LIMIT:
+        raise ValueError(f"partition_residues is capped at n <= {PARTITION_LIMIT}")
+    offsets = pentagonal_numbers(n)
+    table = [1 % modulus]
+    for lo in range(1, n + 1, _BLOCK):
+        _fill_block(table, lo, min(lo + _BLOCK, n + 1), offsets, modulus)
+    return table
+
+
 def pentagonal_numbers(n: int) -> list[int]:
     """The generalized pentagonal numbers <= n, in increasing order.
 
@@ -63,11 +87,14 @@ def pentagonal_numbers(n: int) -> list[int]:
     return out[: bisect_right(out, n)]
 
 
-def _fill_block(table: list[int], lo: int, hi: int, offsets: list[int]) -> None:
+def _fill_block(
+    table: list[int], lo: int, hi: int, offsets: list[int], modulus: int | None = None
+) -> None:
     """Append p(lo) .. p(hi - 1) to table, which holds p(0) .. p(lo - 1).
 
     offsets lists the generalized pentagonal numbers in increasing order, at
-    least every one below hi.
+    least every one below hi.  With a modulus, table holds residues and each
+    new entry is reduced mod modulus as it is appended.
     """
     width = hi - lo
     small = bisect_left(offsets, width)
@@ -93,12 +120,14 @@ def _fill_block(table: list[int], lo: int, hi: int, offsets: list[int]) -> None:
                 total -= table[m - g]
             else:
                 total += table[m - g]
-        table.append(total)
+        table.append(total if modulus is None else total % modulus)
 
 
-# Largest n that partition_count accepts.  It covers p(11k + 6) for
-# k <= 10^4 (index 110006); p(200000) has about 1630 bits, and the table up
-# to it holds about 34 MB.
+# Largest n that partition_count and partition_residues accept.  It bounds
+# the exact table: p(200000) has about 1630 bits, and the table up to it
+# holds about 34 MB.  The congruence sweep reads a residue table of small
+# ints instead; its largest index, p(11k + 6), stays within this limit up
+# to the `--max-k` cap k = 18181 (index 199997).
 PARTITION_LIMIT = 200_000
 
 BRUTE_LIMIT = 60

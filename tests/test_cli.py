@@ -1,5 +1,6 @@
 """Command line behaviour: output formats, JSON reports, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -113,6 +114,13 @@ def test_verify_congruences_json(capsys):
     assert doc["overallPass"] is True
     assert len(doc["entries"]) == 18
     assert all(entry["pass"] for entry in doc["entries"])
+
+
+def test_verify_congruences_output_bytes_are_pinned(capsys):
+    code, out, err = run_cli(capsys, ["verify", "congruences", "--max-k", "5000"])
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "0e7f7392d4ff9ad40a0dcbb17d9b75668b83683bde9ebc85f8df8320c2cc7247"
 
 
 def test_verify_all_emits_array(capsys):

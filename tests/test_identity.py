@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import qbell.identity
-from qbell import cli
+from qbell import cli, partitions
 from qbell.bell import complete_bell_sequence
 from qbell.identity import (
     theorem_lhs,
@@ -16,7 +16,7 @@ from qbell.identity import (
     verify_theorem,
 )
 from qbell.numtheory import d_coefficient, e_coefficient, sigma
-from qbell.partitions import partition_count
+from qbell.partitions import partition_count, partition_residues
 from qbell.series import series_g, series_h
 
 
@@ -116,9 +116,12 @@ def test_theorem_report_fails_from_a_shifted_d7(monkeypatch, capsys, shift, lhs_
 
 
 def test_congruence_report_fails_at_a_shifted_partition_count(monkeypatch, capsys):
-    monkeypatch.setattr(
-        qbell.identity, "partition_count", lambda n: partition_count(n) + (n == 12)
-    )
+    def shifted_residues(n, modulus):
+        residues = partition_residues(n, modulus)
+        residues[12] += 1
+        return residues
+
+    monkeypatch.setattr(qbell.identity, "partition_residues", shifted_residues)
     max_k = 10
     report = verify_congruences(max_k)
     # p(7k+5) is the second family of max_k + 1 entries; 12 = 7*1 + 5
@@ -149,6 +152,17 @@ def test_verify_congruences_report():
     for entry in report.entries:
         assert entry.expected == 0
         assert entry.passed
+
+
+def test_congruence_report_leaves_the_shared_partition_table_alone(monkeypatch):
+    monkeypatch.setattr(partitions, "_table", [1])
+
+    def refuse(n):
+        raise AssertionError(f"partition_count({n}) called by the congruence report")
+
+    monkeypatch.setattr(qbell.identity, "partition_count", refuse)
+    assert verify_congruences(1000).overall_pass
+    assert partitions._table == [1]
 
 
 def test_verify_congruences_validation():

@@ -16,6 +16,7 @@ from qbell.partitions import (
     PARTITION_LIMIT,
     partition_count,
     partition_count_brute,
+    partition_residues,
 )
 
 FIRST_VALUES = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77)
@@ -156,3 +157,25 @@ def test_partition_limit():
         partition_count(PARTITION_LIMIT + 1)
     with pytest.raises(ValueError, match="capped"):
         partition_count(10**9)
+
+
+def test_residue_table_matches_the_exact_table_mod_385():
+    n = 20_000
+    partition_count(n)  # fill the exact table once
+    assert partition_residues(n, 385) == [partition_count(m) % 385 for m in range(n + 1)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(0, ORACLE_LIMIT), modulus=st.integers(2, 1000))
+def test_residue_table_matches_the_oracle_mod_any_modulus(n, modulus):
+    expected = pentagonal_oracle()
+    assert partition_residues(n, modulus) == [p % modulus for p in expected[: n + 1]]
+
+
+def test_residue_table_bounds():
+    assert partition_residues(0, 7) == [1]
+    assert partition_residues(5, 1) == [0] * 6
+    with pytest.raises(ValueError, match=">= 0"):
+        partition_residues(-1, 385)
+    with pytest.raises(ValueError, match="capped"):
+        partition_residues(PARTITION_LIMIT + 1, 385)
