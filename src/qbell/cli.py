@@ -14,7 +14,6 @@ or parse error, 3 precondition violation, a size past its cap included.
 """
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
@@ -24,7 +23,7 @@ from . import identity, series
 from .bell import complete_bell
 from .numtheory import d_coefficient, e_coefficient, sigma
 from .partitions import PARTITION_LIMIT, partition_count
-from .reports import format_exact
+from .reports import format_exact, render_json
 
 __all__ = ["main", "entry", "build_parser", "parse_rational"]
 
@@ -183,7 +182,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     sizes = [getattr(args, dest) for _, dest, _, _ in args.bounds]
     reports = [check(size) for check, size in zip(args.checks, sizes)]
     payload = [report.to_json_dict() for report in reports]
-    print(json.dumps(payload if args.target == "all" else payload[0], indent=2))
+    print(render_json(payload if args.target == "all" else payload[0]))
     return 0 if all(report.overall_pass for report in reports) else 1
 
 

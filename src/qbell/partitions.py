@@ -1,8 +1,17 @@
-"""The partition function p(n), with an independent counting oracle."""
+"""The partition function p(n), its residues, and an independent counting oracle.
 
+Both tables run Euler's pentagonal recurrence.  ``partition_count`` keeps
+one shared exact table, filled in blocks; ``partition_residues`` fills a
+table of p(n) mod m afresh for each call, with most of its additions done
+on many residues at once, packed as fixed-width slots of one big int.
+"""
+
+import sys
 import threading
+from array import array
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
+from operator import itemgetter
 
 __all__ = ["partition_count", "partition_count_brute", "BRUTE_LIMIT", "PARTITION_LIMIT"]
 
@@ -17,6 +26,13 @@ _extend_lock = threading.Lock()
 # entries below the block and are summed as whole slices; the smaller ones
 # are added entry by entry.
 _BLOCK = 64
+
+# Entries per chunk of the packed residue fill, and the unsigned array
+# typecodes its slots may take, narrowest first.  A wider chunk makes fewer
+# big-int additions but longer ones, and more in-chunk terms; of 64 .. 1024,
+# 256 had the lowest median time to p(55006) and to p(110006).
+_CHUNK = 256
+_SLOTS = "BHILQ"
 
 
 def partition_count(n: int) -> int:
@@ -34,9 +50,9 @@ def partition_count(n: int) -> int:
     that reads many indices fills it once, at its largest index, first.
     This exact table serves the theorem's right side, the series checks and
     ``qbell partition``; the congruence sweep needs only residues and reads
-    ``partition_residues`` instead.  Raises ``ValueError`` for n < 0 and for
-    n > PARTITION_LIMIT, so the table never holds more than
-    PARTITION_LIMIT + 1 entries.
+    ``partition_residues``, whose packed fill shares no code with this one.
+    Raises ``ValueError`` for n < 0 and for n > PARTITION_LIMIT, so the
+    table never holds more than PARTITION_LIMIT + 1 entries.
     """
     if n < 0:
         raise ValueError("partition_count is defined for n >= 0")
@@ -57,20 +73,83 @@ def partition_residues(n: int, modulus: int) -> list[int]:
     """p(0) .. p(n) mod modulus, for 0 <= n <= PARTITION_LIMIT and modulus >= 1.
 
     The pentagonal recurrence has integer coefficients, so it runs mod
-    modulus as it stands: the blocked fill of ``partition_count`` reduces
-    each entry as it appends it and so adds small ints only.  The list is
-    built afresh for each call and shared with no one.  Raises
+    modulus as it stands.  Every residue is below modulus, so most of the
+    additions run inside big-int operations over fixed-width slots packed
+    into one int (Harvey, J. Symb. Comp. 2009), ``_CHUNK`` entries at a
+    time:
+
+    - pack: each finished chunk becomes one int, one unsigned slot per
+      residue;
+    - push: for every generalized pentagonal offset g, the packed chunk,
+      shifted by g % _CHUNK slots, is added into the plus or the minus
+      accumulator of the chunk g // _CHUNK ahead.  An accumulator spans two
+      chunks' slots; after the pushes its upper half is carried into the
+      next chunk's accumulator;
+    - read: a chunk's two accumulators are unpacked, and only the terms of
+      offsets below _CHUNK whose source lies in the chunk itself are added
+      entry by entry; each entry is reduced as it is stored.
+
+    Slots never carry into each other: every addend is non-negative, and a
+    slot sums at most one residue per offset, at most len(offsets) *
+    (modulus - 1) in all, which the slot's array typecode must hold.  The
+    list is built afresh for each call and shared with no one.  Raises
     ``ValueError`` for n < 0 and for n > PARTITION_LIMIT, as
-    ``partition_count`` does.
+    ``partition_count`` does, for modulus < 1, and for a modulus whose bound
+    fits no slot.
     """
     if n < 0:
         raise ValueError("partition_residues is defined for n >= 0")
     if n > PARTITION_LIMIT:
         raise ValueError(f"partition_residues is capped at n <= {PARTITION_LIMIT}")
+    if modulus < 1:
+        raise ValueError("partition_residues needs a modulus >= 1")
     offsets = pentagonal_numbers(n)
-    table = [1 % modulus]
-    for lo in range(1, n + 1, _BLOCK):
-        _fill_block(table, lo, min(lo + _BLOCK, n + 1), offsets, modulus)
+    bound = len(offsets) * (modulus - 1)
+    typecode = next((code for code in _SLOTS if bound < 256 ** array(code).itemsize), None)
+    if typecode is None:
+        raise ValueError(f"partition_residues to n = {n} packs no modulus above "
+                         f"{(256 ** array(_SLOTS[-1]).itemsize - 1) // len(offsets) + 1}")
+    bits = 8 * array(typecode).itemsize  # per slot
+    half = bits * _CHUNK  # per chunk, half an accumulator
+    low = (1 << half) - 1
+    chunks = n // _CHUNK + 1
+    # (chunks ahead, shift in bits, sign) per offset; the signs run + + - -
+    pushes = [(g // _CHUNK, g % _CHUNK * bits, i & 2) for i, g in enumerate(offsets)]
+    # Entry s of a chunk reads the in-chunk sources s - g of the offsets
+    # g <= s only: the sources below the chunk came in with the pushes.  Slot
+    # _CHUNK of the chunk list stays 0, and each getter reads it twice, so
+    # that it returns a tuple however few sources it has.
+    small = offsets[: bisect_left(offsets, _CHUNK)]
+    plus_gets, minus_gets = (
+        [itemgetter(_CHUNK, _CHUNK, *(s - g for i, g in enumerate(small) if g <= s and i & 2 == sign))
+         for s in range(_CHUNK)]
+        for sign in (0, 2)
+    )
+    plus, minus = [0] * chunks, [0] * chunks
+    plus[0] = 1  # p(0) = 1, the recurrence's one constant term
+    chunk = [0] * (_CHUNK + 1)
+    table = []
+    for c in range(chunks):
+        above, below = array(typecode), array(typecode)
+        above.frombytes((plus[c] & low).to_bytes(half // 8, sys.byteorder))
+        below.frombytes((minus[c] & low).to_bytes(half // 8, sys.byteorder))
+        width = min(_CHUNK, n + 1 - c * _CHUNK)
+        for s, a, b, get_plus, get_minus in zip(range(width), above, below, plus_gets, minus_gets):
+            chunk[s] = (a - b + sum(get_plus(chunk)) - sum(get_minus(chunk))) % modulus
+        table += chunk[:width]
+        if c + 1 == chunks:
+            break
+        packed = int.from_bytes(array(typecode, chunk[:_CHUNK]).tobytes(), sys.byteorder)
+        for ahead, shift, negative in pushes:
+            if c + ahead >= chunks:
+                break
+            if negative:
+                minus[c + ahead] += packed << shift
+            else:
+                plus[c + ahead] += packed << shift
+        plus[c + 1] += plus[c] >> half
+        minus[c + 1] += minus[c] >> half
+        plus[c] = minus[c] = 0
     return table
 
 
@@ -87,14 +166,11 @@ def pentagonal_numbers(n: int) -> list[int]:
     return out[: bisect_right(out, n)]
 
 
-def _fill_block(
-    table: list[int], lo: int, hi: int, offsets: list[int], modulus: int | None = None
-) -> None:
+def _fill_block(table: list[int], lo: int, hi: int, offsets: list[int]) -> None:
     """Append p(lo) .. p(hi - 1) to table, which holds p(0) .. p(lo - 1).
 
     offsets lists the generalized pentagonal numbers in increasing order, at
-    least every one below hi.  With a modulus, table holds residues and each
-    new entry is reduced mod modulus as it is appended.
+    least every one below hi.
     """
     width = hi - lo
     small = bisect_left(offsets, width)
@@ -120,14 +196,15 @@ def _fill_block(
                 total -= table[m - g]
             else:
                 total += table[m - g]
-        table.append(total if modulus is None else total % modulus)
+        table.append(total)
 
 
 # Largest n that partition_count and partition_residues accept.  It bounds
 # the exact table: p(200000) has about 1630 bits, and the table up to it
-# holds about 34 MB.  The congruence sweep reads a residue table of small
-# ints instead; its largest index, p(11k + 6), stays within this limit up
-# to the `--max-k` cap k = 18181 (index 199997).
+# holds about 34 MB.  The congruence sweep reads residues mod 385 instead,
+# packed in slots of at most 4 bytes while they are filled; its largest
+# index, p(11k + 6), stays within this limit up to the `--max-k` cap
+# k = 18181 (index 199997).
 PARTITION_LIMIT = 200_000
 
 BRUTE_LIMIT = 60

@@ -123,6 +123,25 @@ def test_verify_congruences_output_bytes_are_pinned(capsys):
     assert digest == "0e7f7392d4ff9ad40a0dcbb17d9b75668b83683bde9ebc85f8df8320c2cc7247"
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["verify", "theorem", "--max-n", "384"],
+         "58ea816d7acb3f4c7762ac5fcd5d8b3359642ebcdbf0a01892c1a751e5981234"),
+        (["verify", "eq3", "--order", "400"],
+         "1640ec2bfab2da492537438e8b7ff08f166e0402adf85aaff5f99342e936c7e7"),
+        (["verify", "eq2", "--order", "400"],
+         "d9ac4a7ee3c12b49861d22b84fa45f6da18c8212e2e90acceff1dfe37e6966a9"),
+        (["verify", "all"],
+         "c66c72e87d99237e2c111dca74e868d1becb510da9491f503d07ac4021de8ec4"),
+    ],
+)
+def test_verify_output_bytes_are_pinned(capsys, argv, digest):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_all_emits_array(capsys):
     code, out, _ = run_cli(capsys, ["verify", "all"])
     assert code == 0

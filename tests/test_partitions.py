@@ -4,10 +4,11 @@ import os
 import random
 import sys
 import threading
+from array import array
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbell import partitions
@@ -165,8 +166,20 @@ def test_residue_table_matches_the_exact_table_mod_385():
     assert partition_residues(n, 385) == [partition_count(m) % 385 for m in range(n + 1)]
 
 
-@settings(deadline=None, max_examples=40)
-@given(n=st.integers(0, ORACLE_LIMIT), modulus=st.integers(2, 1000))
+# n on both sides of the first two chunk edges of the packed fill
+CHUNK_EDGES = (partitions._CHUNK - 1, partitions._CHUNK, partitions._CHUNK + 1, 2 * partitions._CHUNK)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.one_of(st.sampled_from(CHUNK_EDGES), st.integers(0, ORACLE_LIMIT)),
+    modulus=st.one_of(st.integers(1, 1000), st.integers(1, 10**6)),
+)
+@example(n=CHUNK_EDGES[0], modulus=1)
+@example(n=CHUNK_EDGES[1], modulus=10**6)
+@example(n=CHUNK_EDGES[2], modulus=385)
+@example(n=CHUNK_EDGES[3], modulus=2)
+@example(n=ORACLE_LIMIT, modulus=10**6 - 1)
 def test_residue_table_matches_the_oracle_mod_any_modulus(n, modulus):
     expected = pentagonal_oracle()
     assert partition_residues(n, modulus) == [p % modulus for p in expected[: n + 1]]
@@ -179,3 +192,17 @@ def test_residue_table_bounds():
         partition_residues(-1, 385)
     with pytest.raises(ValueError, match="capped"):
         partition_residues(PARTITION_LIMIT + 1, 385)
+    with pytest.raises(ValueError, match="modulus >= 1"):
+        partition_residues(5, 0)
+
+
+def test_residue_table_refuses_a_modulus_past_the_widest_slot():
+    # A slot sums at most one residue per offset, so the bound is
+    # len(offsets) * (modulus - 1); the widest array slot must hold it.
+    n = ORACLE_LIMIT
+    count = len(partitions.pentagonal_numbers(n))
+    widest = max(array(code).itemsize for code in "BHILQ")
+    largest = (256**widest - 1) // count + 1
+    assert partition_residues(n, largest) == [p % largest for p in pentagonal_oracle()]
+    with pytest.raises(ValueError, match=f"no modulus above {largest}"):
+        partition_residues(n, largest + 1)
