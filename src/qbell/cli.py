@@ -42,10 +42,13 @@ _EQ3_MAX_ORDER = (PARTITION_LIMIT - 5) // 7
 # cannot print past.  The limit is process-global, so it is not raised.
 _THEOREM_MAX_N = 1523
 
-# Largest bell n.  B_n of n one-digit integers takes about 1.8 s at n = 1000
-# and 23 s at n = 2000; _cmd_bell bounds the size of the arguments by the
-# digit limit before any work.  The library's complete_bell stays uncapped.
+# Largest bell n, and largest n^2 u, u a bound of max(bits(b), bits(y_i) / i)
+# over the nonzero x_i: the kernel multiplies y_i = b^i x_i, b the lcm of the
+# denominators.  u = 16 at n = 1000 runs up to about 19 s.  n is capped too:
+# ones (u = 2) pass the work bound up to n = 2828, and B_2000 of ones takes 11 s.
+# The library's complete_bell stays uncapped.
 _BELL_MAX_N = 1000
+_BELL_MAX_WORK = 16_000_000
 
 # verify targets in `verify all` order: name, help, size flag, its smallest
 # (the report's own), default (under `verify all`) and largest value, and the
@@ -150,25 +153,22 @@ def _cmd_bell(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         xs = [parse_rational(text) for text in args.xs]
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
-    limit = _digit_limit()
-    capped = ValueError(f"bell results are capped at {limit} digits, the interpreter's int limit")
-    if limit and args.n > 0:
-        # Refused before any work: B_n holds the monomial x_i^(n // i), of up
-        # to n // i times the digits of x_i's numerator, and its denominator
-        # divides b^n, b the lcm of the denominators.  b^n is built only when
-        # it is below 2^(4 limit), which is above 10^limit.
-        n = args.n
-        b = lcm(*(x.denominator for x in xs))
-        if (
-            any(abs(x.numerator) >= 10 ** (limit // (n // i)) for i, x in enumerate(xs, 1))
-            or n * (b.bit_length() - 1) >= 4 * limit
-            or b**n >= 10**limit
-        ):
-            raise capped
+    # u from bit lengths, bits(y_i) / i <= bits(b) + bits(x_i's numerator) / i.
+    # b alone past the bound stops the lcm, and the term of x_1 then refuses.
+    n2 = max(args.n, 0) ** 2
+    b = 1
+    for x in xs:
+        b = lcm(b, x.denominator)
+        if n2 * b.bit_length() > _BELL_MAX_WORK:
+            break
+    if any(n2 * (i * b.bit_length() + x.numerator.bit_length()) > i * _BELL_MAX_WORK
+           for i, x in enumerate(xs, 1)):
+        raise ValueError(f"bell work n^2 u is capped at {_BELL_MAX_WORK}, u the bits of "
+                         "b^i x_i per unit of i and b the lcm of the denominators")
     value = complete_bell(args.n, xs)
-    # the estimate leaves out coefficients and carries: B_2(1, 10^4300 - 1) = 10^4300
+    limit = _digit_limit()
     if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
-        raise capped
+        raise ValueError(f"bell results are capped at {limit} digits, the interpreter's int limit")
     print(format_exact(value))
 
 

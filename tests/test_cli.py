@@ -212,6 +212,10 @@ def test_usage_errors_exit_two(capsys, argv):
         ["coeff", "d", "1000000000000000000000"],
         ["bell", "1001", *["1"] * 1001],
         ["bell", "1000", *["9" * 100] * 1000],  # B_1000 would have 100,000 digits
+        # u = 28.5 from 4i-digit numerators over 19949; ran 57.5 s before exit 3
+        ["bell", "1000", *[f"{'7' * (4 * i)}/19949" for i in range(1, 1001)]],
+        # b alone passes the work bound at its first 4000-digit denominator
+        ["bell", "400", *[f"1/{10**3999 + 2 * i + 1}" for i in range(400)]],
         ["verify", "all", "--max-n", "1523", "--order", "28570", "--max-k", "-1"],
     ],
 )
@@ -338,16 +342,21 @@ def test_bell_argument_check_passes_results_within_the_limit(capsys):
     # x_2 enters B_2 and B_3 only to the first power, and x_1 = 0
     assert run_cli(capsys, ["bell", "2", "0", "9" * 4300]) == (0, "9" * 4300 + "\n", "")
     assert run_cli(capsys, ["bell", "3", "0", "7" * 3000, "0"]) == (0, "0\n", "")
+    # B_3 = x_3 has a 2000-digit denominator, and B_5 with only x_2 nonzero is 0
+    tiny = "1/1" + "0" * 1999
+    assert run_cli(capsys, ["bell", "3", "0", "0", tiny]) == (0, tiny + "\n", "")
+    assert run_cli(capsys, ["bell", "5", "0", "1" + "0" * 2199, "0", "0", "0"]) == (0, "0\n", "")
 
 
 @pytest.mark.parametrize(
     "argv, refused",
     [
-        (["bell", "2", "9" * 2150, "0"], False),  # n // 1 * 2150 digits = 4300
-        (["bell", "2", "1" + "0" * 2150, "0"], True),  # 4302 digits
-        (["bell", "2", "1/" + "9" * 2150, "0"], False),  # b^2 < 10^4300
-        (["bell", "2", "1/1" + "0" * 2150, "0"], True),  # b^2 = 10^4300
-        (["bell", "2", "1/" + "9" * 3000, "0"], True),  # b^2 past 2^(4 * 4300)
+        # n^2 u against the bound 1.6e7 at n = 1000, u <= bits(b) + bits(x_i's numerator) / i
+        (["bell", "1000", "32767", *["0"] * 999], False),  # u = 1 + 15 = 16
+        (["bell", "1000", "32768", *["0"] * 999], True),  # u = 1 + 16
+        (["bell", "1000", *["0"] * 999, "1/32767"], False),  # u = 15 + 1/1000
+        (["bell", "1000", *["0"] * 999, "1/65535"], True),  # u = 16 + 1/1000
+        (["bell", "1000", *["0"] * 998, "1/255", "1/511"], True),  # b alone: 17 bits
     ],
 )
 def test_bell_argument_check_runs_before_any_work(capsys, monkeypatch, argv, refused):
@@ -355,6 +364,20 @@ def test_bell_argument_check_runs_before_any_work(capsys, monkeypatch, argv, ref
     monkeypatch.setattr(cli, "complete_bell", lambda n, xs: calls.append(n) or Fraction(0))
     code, out, err = run_cli(capsys, argv)
     assert (code, calls) == ((3, []) if refused else (0, [int(argv[1])]))
+
+
+def test_bell_work_bound_holds_without_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["bell", "1000", *["9" * 100] * 1000])
+        elapsed = time.perf_counter() - start
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: bell work n^2 u is capped at")
+    assert elapsed < 1.0
 
 
 def test_bell_digit_guard_follows_the_interpreter_limit(capsys):
