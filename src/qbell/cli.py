@@ -27,7 +27,7 @@ from .reports import format_exact, render_json
 
 __all__ = ["main", "entry", "build_parser", "parse_rational"]
 
-_RATIONAL_SYNTAX = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_SYNTAX = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # ASCII digits, whole text
 
 # Function names in qbell.series.  Every library function is looked up at
 # call time, so one patched after import (a test double, a tracer) runs.
@@ -72,10 +72,10 @@ def _digit_limit() -> int:
 
 def parse_rational(text: str) -> Fraction:
     """Parse "num" or "num/den" with an optional sign; no decimal points."""
-    if not _RATIONAL_SYNTAX.match(text):
+    if not _RATIONAL_SYNTAX.fullmatch(text):
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
     limit = _digit_limit()
-    if limit and max(map(len, re.findall(r"\d+", text))) > limit:
+    if limit and max(map(len, re.findall(r"[0-9]+", text))) > limit:
         raise ValueError(f"a rational is capped at {limit} digits, the interpreter's int limit")
     try:
         return Fraction(text)

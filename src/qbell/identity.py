@@ -20,11 +20,10 @@ Combinatorics*, 1974, 3.3):
     B_n(1! y_1, ..., n! y_n) = n! a_n,  sum_n a_n t^n = exp(sum_i y_i t^i),
 
 so n a_n = sum_{i=1..n} (i y_i) a_{n-i}, run by ``TruncatedSeries.exp``.
-With y = d, the weights i d_i = 4 sigma(i) - 21 sigma(i/7), from which
-:mod:`qbell.numtheory` computes d, are small ints and a_n = [x^n] G/7 is
-an int of O(sqrt(n)) bits (208 at n = 1024), where the binomial Bell
-recurrence of :mod:`qbell.bell` carries B_n = n! a_n (8977 bits); the same
-holds for e and H/(49x).
+With y = d, the weights i d_i of the G row of :mod:`qbell.numtheory`'s
+table are small ints and a_n = [x^n] G/7 is an int of O(sqrt(n)) bits
+(208 at n = 1024), where the binomial Bell recurrence of :mod:`qbell.bell`
+carries B_n = n! a_n (8977 bits); the same holds for e and H/(49x).
 :func:`qbell.bell.complete_bell_sequence` stays the oracle that the tests
 hold this route to.
 
@@ -36,7 +35,7 @@ and both reports here pass an entry exactly when its two sides are equal
 from fractions import Fraction
 from math import factorial, prod
 
-from .numtheory import d_coefficient, e_coefficient
+from .numtheory import G, H, d_coefficient, e_coefficient
 from .partitions import partition_count, partition_residues
 from .reports import VerificationReport
 from .series import TruncatedSeries
@@ -62,13 +61,13 @@ def _exp_formula(n: int, coefficient) -> tuple:
 
 def _left_sides(max_n: int) -> list:
     """The left sides n! (7 a_n + 49 b_{n-1}) of ``theorem_lhs`` for 1 <= n <= max_n."""
-    a = _exp_formula(max_n, d_coefficient)
-    b = _exp_formula(max_n - 1, e_coefficient)
+    terms = [(row.scale, row.shift, _exp_formula(max_n - row.shift, coefficient))
+             for row, coefficient in ((G, d_coefficient), (H, e_coefficient))]
     sides = []
     n_factorial = 1
     for n in range(1, max_n + 1):
         n_factorial *= n
-        sides.append(n_factorial * (7 * a[n] + 49 * b[n - 1]))
+        sides.append(n_factorial * sum(scale * a[n - shift] for scale, shift, a in terms))
     return sides
 
 

@@ -1,4 +1,4 @@
-"""Divisor sums, 7-adic decomposition, and the d/e coefficient sequences.
+"""Divisor sums, the table of eta quotients, 7-adic decomposition, and d/e.
 
 Everything here is exact: naturals are plain Python integers, ratios are
 ``fractions.Fraction`` values (always stored reduced).
@@ -9,6 +9,7 @@ The paper's 7-adic form of the same values is kept as a check:
 to it, and no production path calls them.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -93,34 +94,39 @@ def sigma_ratio(n: int) -> Fraction:
     return Fraction(7 ** (m + 1) - 1, 7 ** m - 1)
 
 
-def _weight(n: int, a: int, b: int) -> int:
-    """a sigma(n) - b sigma(n/7), with sigma(n/7) = 0 when 7 does not divide n."""
-    return a * sigma(n) - (b * sigma(n // 7) if n % 7 == 0 else 0)
+# Rows scale x^shift E(x^r)^a / E(x)^b, E(x) = (x;x)_inf: Ramanujan's sum p(7n+5) x^n
+# is G + H and sum p(5k+4) x^k is P5K4.  qbell.series builds them, and qbell.identity
+# sums them.  By ln E(x) = -sum sigma(n) x^n / n, ln(row / (scale x^shift)) = sum c_n x^n
+# with weights n c_n = b sigma(n) - a r sigma(n/r), the second term only when r | n.
+EtaQuotient = namedtuple("EtaQuotient", "scale shift r a b")
+G = EtaQuotient(7, 0, 7, 3, 4)
+H = EtaQuotient(49, 1, 7, 7, 8)
+P5K4 = EtaQuotient(5, 0, 5, 5, 6)
+
+
+def _weight(n: int, row: EtaQuotient) -> int:
+    """b sigma(n) - a r sigma(n/r), the weight n c_n of a row (see the table)."""
+    return row.b * sigma(n) - (row.a * row.r * sigma(n // row.r) if n % row.r == 0 else 0)
 
 
 def d_coefficient(n: int) -> Fraction:
-    """Coefficient d_n in ln(G(x)/7) = sum_{n>=1} d_n x^n.
+    """Coefficient d_n in ln(G(x)/7) = sum_{n>=1} d_n x^n: the weight of G over n.
 
-    G(x) = 7 (x^7;x^7)_inf^3 / (x;x)_inf^4, so n d_n = 4 sigma(n) -
-    21 sigma(n/7), the last term only when 7 | n, and d_n is that integer
-    weight over n.  The paper writes the same value as (sigma(n)/n) *
-    (1 + 18/(7^(m+1) - 1)) with m the 7-adic valuation of n.  Raises
-    ``ValueError`` for n < 1 and, through ``sigma``, for n > SIGMA_LIMIT.
+    The paper writes the same value as (sigma(n)/n) * (1 + 18/(7^(m+1) - 1))
+    with m the 7-adic valuation of n.  Raises ``ValueError`` for n < 1 and,
+    through ``sigma``, for n > SIGMA_LIMIT.
     """
     if n < 1:
         raise ValueError("d_coefficient is defined for n >= 1")
-    return Fraction(_weight(n, 4, 21), n)
+    return Fraction(_weight(n, G), n)
 
 
 def e_coefficient(n: int) -> Fraction:
-    """Coefficient e_n in ln(H(x)/(49x)) = sum_{n>=1} e_n x^n.
+    """Coefficient e_n in ln(H(x)/(49x)) = sum_{n>=1} e_n x^n: the weight of H over n.
 
-    H(x) = 49 x (x^7;x^7)_inf^7 / (x;x)_inf^8, so n e_n = 8 sigma(n) -
-    49 sigma(n/7), the last term only when 7 | n, and e_n is that integer
-    weight over n.  The paper writes the same value as (sigma(n)/n) *
-    (1 + 42/(7^(m+1) - 1)).  Raises ``ValueError`` for n < 1 and, through
-    ``sigma``, for n > SIGMA_LIMIT.
+    The paper writes the same value as (sigma(n)/n) * (1 + 42/(7^(m+1) - 1)).
+    Raises ``ValueError`` for n < 1 and, through ``sigma``, for n > SIGMA_LIMIT.
     """
     if n < 1:
         raise ValueError("e_coefficient is defined for n >= 1")
-    return Fraction(_weight(n, 8, 49), n)
+    return Fraction(_weight(n, H), n)

@@ -14,6 +14,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable
 
+from .numtheory import EtaQuotient, G, H, P5K4
 from .partitions import partition_count, pentagonal_numbers
 from .reports import VerificationReport, format_exact
 
@@ -266,25 +267,21 @@ def euler_product(order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
-def _eta_quotient(scale, r: int, a: int, b: int, order: int) -> TruncatedSeries:
-    """scale * E(x^r)^a * E(x)^-b through x^order, E = :func:`euler_product`.
-
-    scale is a number or a series; the products run left to right.  A
-    negative order raises the ValueError of euler_product (or, for a
-    series scale, of its constructor) before any work.
-    """
+def _eta_quotient(row: EtaQuotient, order: int) -> TruncatedSeries:
+    """A row scale x^shift E(x^r)^a E(x)^-b through x^order; order < 0 fails in euler_product."""
     e1 = euler_product(order)
-    return scale * (e1.substitute_power(r) ** a) * (e1 ** -b)
+    front = TruncatedSeries.monomial(row.shift, order, row.scale)
+    return front * (e1.substitute_power(row.r) ** row.a) * (e1 ** -row.b)
 
 
 def series_g(order: int) -> TruncatedSeries:
     """G(x) = 7 (x^7;x^7)_inf^3 / (x;x)_inf^4 through x^order."""
-    return _eta_quotient(7, 7, 3, 4, order)
+    return _eta_quotient(G, order)
 
 
 def series_h(order: int) -> TruncatedSeries:
     """H(x) = 49 x (x^7;x^7)_inf^7 / (x;x)_inf^8 through x^order."""
-    return _eta_quotient(TruncatedSeries.monomial(1, order, 49), 7, 7, 8, order)
+    return _eta_quotient(H, order)
 
 
 def extract_log_coefficients(which: str, order: int) -> list[int | Fraction]:
@@ -292,20 +289,17 @@ def extract_log_coefficients(which: str, order: int) -> list[int | Fraction]:
 
     The check-only log route to d and e: the tests hold it to the closed
     forms of :mod:`qbell.numtheory`, and no report or command calls it.
-    Dividing G by 7, and H by 49x (drop the zero constant, shift every
-    exponent down one, divide by 49), removes the constants whose logs are
-    not rational, leaving series with constant term 1 whose logs live
+    Dividing out each row's scale x^shift removes the constants whose logs
+    are not rational, leaving a series with constant term 1 whose log lives
     entirely in the rationals.  The returned lists are the d and e
     coefficient sequences of qbell.numtheory.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if which == "G":
-        normalized = series_g(order) / 7
-    elif which == "H":
-        normalized = TruncatedSeries(series_h(order + 1).coefficients[1:]) / 49
-    else:
+    if which not in ("G", "H"):
         raise ValueError("which must be 'G' or 'H'")
+    row, build = (G, series_g) if which == "G" else (H, series_h)
+    normalized = TruncatedSeries(build(order + row.shift).coefficients[row.shift:]) / row.scale
     return list(normalized.log().coefficients[1 : order + 1])
 
 
@@ -331,7 +325,7 @@ def verify_p7n5_identity(order: int) -> VerificationReport:
 
 def verify_p5k4_identity(order: int) -> VerificationReport:
     """Check that coefficient k of 5 (x^5;x^5)_inf^5 / (x;x)_inf^6 equals p(5k+4)."""
-    return _residue_class_report("p5k4-series", _eta_quotient(5, 5, 5, 6, order), 5, 4)
+    return _residue_class_report("p5k4-series", _eta_quotient(P5K4, order), 5, 4)
 
 
 def coefficient_lines(series: TruncatedSeries) -> list[str]:

@@ -134,6 +134,12 @@ def test_verify_congruences_output_bytes_are_pinned(capsys):
          "d9ac4a7ee3c12b49861d22b84fa45f6da18c8212e2e90acceff1dfe37e6966a9"),
         (["verify", "all"],
          "c66c72e87d99237e2c111dca74e868d1becb510da9491f503d07ac4021de8ec4"),
+        (["series", "euler", "--order", "400"],
+         "7f5d71ea9eb01cf358b8e1919db0fa4e0cb0f7e45167ac5d71320eb6d360c639"),
+        (["series", "G", "--order", "400"],
+         "ae5d52f3b532b92415d0f5ba5314bc410b47be4dd04c8ee4e35e2b633d057bd6"),
+        (["series", "H", "--order", "400"],
+         "cdf0e3520f8e11db3c71e44af07bcc2d5797d3587d2d9bb31ca30db4c5348e71"),
     ],
 )
 def test_verify_output_bytes_are_pinned(capsys, argv, digest):
@@ -176,6 +182,8 @@ def test_verify_output_is_deterministic(capsys):
         ["bell", "2", "4", "12", "5"],
         ["bell", "1", "1/0"],
         ["bell", "1", "x"],
+        ["bell", "1", "\u0663"],  # ARABIC-INDIC DIGIT THREE, a Unicode digit
+        ["bell", "1", "5\n"],
         ["series", "euler"],
         ["series", "cosine", "--order", "3"],
         ["verify", "theorem"],

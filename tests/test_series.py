@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 import qbell.identity
 import qbell.series
 from qbell import cli
-from qbell.numtheory import d_coefficient, e_coefficient, sigma
+from qbell.numtheory import G, H, P5K4, _weight, d_coefficient, e_coefficient, sigma
 from qbell.partitions import partition_count
 from qbell.series import (
     TruncatedSeries,
+    _eta_quotient,
     coefficient_lines,
     euler_product,
     extract_log_coefficients,
@@ -292,6 +293,18 @@ def test_extract_log_coefficients_first_values():
         Fraction(8), Fraction(12), Fraction(32, 3), Fraction(14),
         Fraction(48, 5), Fraction(16), Fraction(15, 7),
     ]
+
+
+@pytest.mark.parametrize("row", [G, H, P5K4], ids=["G", "H", "P5K4"])
+def test_every_table_row_has_its_weights_as_log_coefficients(row):
+    # P5K4's weights 6 sigma(n) - 25 sigma(n/5) are read by no report, and are
+    # the only row with r != 7
+    order = 300
+    built = _eta_quotient(row, order + row.shift)
+    logs = (TruncatedSeries(built.coefficients[row.shift:]) / row.scale).log()
+    assert logs.order == order
+    for n in range(1, order + 1):
+        assert logs[n] == Fraction(_weight(n, row), n), n
 
 
 def test_extract_log_coefficients_validation():
