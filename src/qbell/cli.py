@@ -15,6 +15,7 @@ or parse error, 3 precondition violation, a size past its cap included.
 
 import argparse
 import re
+import signal
 import sys
 from fractions import Fraction
 from math import lcm
@@ -27,7 +28,8 @@ from .reports import format_exact, render_json
 
 __all__ = ["main", "entry", "build_parser", "parse_rational"]
 
-_RATIONAL_SYNTAX = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # ASCII digits, whole text
+_INT_SYNTAX = re.compile(r"[+-]?[0-9]+")  # ASCII digits, whole text
+_RATIONAL_SYNTAX = re.compile(rf"{_INT_SYNTAX.pattern}(/[0-9]+)?")
 
 # Function names in qbell.series.  Every library function is looked up at
 # call time, so one patched after import (a test double, a tracer) runs.
@@ -70,6 +72,16 @@ def _digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", int)()  # digits of str(int); 0: no limit
 
 
+def _parse_int(text: str) -> int:
+    """argparse type of every int argument: ASCII digits and a sign, unlike int() alone."""
+    if _INT_SYNTAX.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")  # argparse's own wording
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "num" or "num/den" with an optional sign; no decimal points."""
     if not _RATIONAL_SYNTAX.fullmatch(text):
@@ -92,16 +104,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("partition", help="print p(n)")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_parse_int)
     p.set_defaults(run=lambda args: print(partition_count(args.n)), bounds=())
 
     p = sub.add_parser("sigma", help="print the sum of divisors of n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_parse_int)
     p.set_defaults(run=lambda args: print(sigma(args.n)), bounds=())
 
     p = sub.add_parser("coeff", help="print the coefficient d_n or e_n")
     p.add_argument("which", choices=("d", "e"))
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_parse_int)
     p.set_defaults(run=_cmd_coeff, bounds=())
 
     p = sub.add_parser(
@@ -109,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the complete Bell polynomial B_n(x1, ..., xn)",
         description="Arguments are exact rationals, written num or num/den.",
     )
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_parse_int)
     p.add_argument("xs", nargs=argparse.REMAINDER, metavar="x")
     p.set_defaults(run=lambda args: _cmd_bell(parser, args),
                    bounds=[("bell n", "n", None, _BELL_MAX_N)])
@@ -118,18 +130,18 @@ def build_parser() -> argparse.ArgumentParser:
         "series", help="print a truncated series, one coefficient per line"
     )
     p.add_argument("which", choices=tuple(_SERIES))
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_parse_int, required=True)
     p.set_defaults(run=_cmd_series, bounds=[("series --order", "order", None, _EQ3_MAX_ORDER)])
 
     v = sub.add_parser("verify", help="run a verification report (JSON on stdout)")
     vsub = v.add_subparsers(dest="target", required=True)
     for target in _VERIFY_TARGETS:  # name, help, flag first
         p = vsub.add_parser(target[0], help=target[1])
-        p.add_argument(target[2], type=int, required=True)
+        p.add_argument(target[2], type=_parse_int, required=True)
         _declare_verify(p, [target])
     p = vsub.add_parser("all", help="every verification at full scale")
     for flag, default in {flag: default for _, _, flag, _, default, *_ in _VERIFY_TARGETS}.items():
-        p.add_argument(flag, type=int, default=default)
+        p.add_argument(flag, type=_parse_int, default=default)
     _declare_verify(p, _VERIFY_TARGETS)
 
     return parser
@@ -207,7 +219,13 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    """Console-script entry point."""
+    """Console-script entry point.
+
+    A reader that closes stdout early (``| head``) ends the process by
+    SIGPIPE, as it ends ``cat``, where the platform has the signal.
+    """
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -11,8 +11,7 @@ equality, and it sweeps the three classical partition congruences
 (p(5k+4) mod 5, p(7k+5) mod 7, p(11k+6) mod 11).  The right side reads
 the exact partition table of ``partition_count``; the congruence sweep
 needs residues only and reads a local table of p(n) mod 385 from
-``partition_residues``, whose fill adds packed slots of residues, many to
-one big-int operation.
+``partition_residues``.
 
 The left side comes from the exponential formula (Comtet, *Advanced
 Combinatorics*, 1974, 3.3):
@@ -115,9 +114,9 @@ def verify_congruences(max_k: int) -> VerificationReport:
     One entry per (modulus, k) pair for 0 <= k <= max_k, grouped by modulus
     in the order 5, 7, 11; the entry index is the partition argument and
     the computed value is the residue.  The residues come from one table of
-    p(n) mod 385, filled once to the largest index and local to this call,
-    its additions done on packed slots of residues, a chunk of entries per
-    big-int operation; the exact partition table is neither read nor grown.
+    p(n) mod 385 by ``partition_residues``, filled once to the largest index
+    and local to this call; the exact partition table is neither read nor
+    grown.
     """
     if max_k < 0:
         raise ValueError("max_k must be >= 0")

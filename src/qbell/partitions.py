@@ -79,18 +79,19 @@ def partition_residues(n: int, modulus: int) -> list[int]:
     time:
 
     - pack: each finished chunk becomes one int, one unsigned slot per
-      residue;
-    - push: for every generalized pentagonal offset g, the packed chunk,
-      shifted by g % _CHUNK slots, is added into the plus or the minus
-      accumulator of the chunk g // _CHUNK ahead.  An accumulator spans two
-      chunks' slots; after the pushes its upper half is carried into the
-      next chunk's accumulator;
-    - read: a chunk's two accumulators are unpacked, and only the terms of
+      residue r and, in its upper half, one per negation -r % modulus;
+    - push: for every generalized pentagonal offset g, the half of the
+      packed chunk that g's sign selects, shifted by g % _CHUNK slots, is
+      added into the accumulator of the chunk g // _CHUNK ahead.  An
+      accumulator spans two chunks' slots; after the pushes its upper half
+      is carried into the next chunk's accumulator;
+    - read: a chunk's accumulator is unpacked, and only the terms of
       offsets below _CHUNK whose source lies in the chunk itself are added
-      entry by entry; each entry is reduced as it is stored.
+      entry by entry; each entry is reduced, and negated, as it is stored.
 
-    Slots never carry into each other: every addend is non-negative, and a
-    slot sums at most one residue per offset, at most len(offsets) *
+    Slots never carry into each other: every addend is non-negative, a -
+    term being the + term of the negation, and a slot sums at most one
+    value in [0, modulus - 1] per offset, at most len(offsets) *
     (modulus - 1) in all, which the slot's array typecode must hold.  The
     list is built afresh for each call and shared with no one.  Raises
     ``ValueError`` for n < 0 and for n > PARTITION_LIMIT, as
@@ -113,43 +114,39 @@ def partition_residues(n: int, modulus: int) -> list[int]:
     half = bits * _CHUNK  # per chunk, half an accumulator
     low = (1 << half) - 1
     chunks = n // _CHUNK + 1
-    # (chunks ahead, shift in bits, sign) per offset; the signs run + + - -
-    pushes = [(g // _CHUNK, g % _CHUNK * bits, i & 2) for i, g in enumerate(offsets)]
+    # (chunks ahead, shift in bits, 1 for a - offset) per offset; the signs run + + - -
+    pushes = [(g // _CHUNK, g % _CHUNK * bits, i >> 1 & 1) for i, g in enumerate(offsets)]
     # Entry s of a chunk reads the in-chunk sources s - g of the offsets
-    # g <= s only: the sources below the chunk came in with the pushes.  Slot
-    # _CHUNK of the chunk list stays 0, and each getter reads it twice, so
-    # that it returns a tuple however few sources it has.
+    # g <= s only, in the upper half for a - offset: the sources below the
+    # chunk came in with the pushes.  Slot 2 * _CHUNK of the chunk list stays
+    # 0, and each getter reads it twice, so that it returns a tuple however
+    # few sources it has.
     small = offsets[: bisect_left(offsets, _CHUNK)]
-    plus_gets, minus_gets = (
-        [itemgetter(_CHUNK, _CHUNK, *(s - g for i, g in enumerate(small) if g <= s and i & 2 == sign))
-         for s in range(_CHUNK)]
-        for sign in (0, 2)
-    )
-    plus, minus = [0] * chunks, [0] * chunks
-    plus[0] = 1  # p(0) = 1, the recurrence's one constant term
-    chunk = [0] * (_CHUNK + 1)
+    gets = [itemgetter(2 * _CHUNK, 2 * _CHUNK,
+                       *(s - g + (i >> 1 & 1) * _CHUNK for i, g in enumerate(small) if g <= s))
+            for s in range(_CHUNK)]
+    acc = [0] * chunks
+    acc[0] = 1  # p(0) = 1, the recurrence's one constant term
+    chunk = [0] * (2 * _CHUNK + 1)
     table = []
     for c in range(chunks):
-        above, below = array(typecode), array(typecode)
-        above.frombytes((plus[c] & low).to_bytes(half // 8, sys.byteorder))
-        below.frombytes((minus[c] & low).to_bytes(half // 8, sys.byteorder))
+        slots = array(typecode)
+        slots.frombytes((acc[c] & low).to_bytes(half // 8, sys.byteorder))
         width = min(_CHUNK, n + 1 - c * _CHUNK)
-        for s, a, b, get_plus, get_minus in zip(range(width), above, below, plus_gets, minus_gets):
-            chunk[s] = (a - b + sum(get_plus(chunk)) - sum(get_minus(chunk))) % modulus
+        for s, a, get in zip(range(width), slots, gets):
+            r = (a + sum(get(chunk))) % modulus
+            chunk[s], chunk[s + _CHUNK] = r, -r % modulus
         table += chunk[:width]
         if c + 1 == chunks:
             break
-        packed = int.from_bytes(array(typecode, chunk[:_CHUNK]).tobytes(), sys.byteorder)
-        for ahead, shift, negative in pushes:
+        packed = int.from_bytes(array(typecode, chunk[: 2 * _CHUNK]).tobytes(), sys.byteorder)
+        halves = (packed & low, packed >> half)
+        for ahead, shift, sign in pushes:
             if c + ahead >= chunks:
                 break
-            if negative:
-                minus[c + ahead] += packed << shift
-            else:
-                plus[c + ahead] += packed << shift
-        plus[c + 1] += plus[c] >> half
-        minus[c + 1] += minus[c] >> half
-        plus[c] = minus[c] = 0
+            acc[c + ahead] += halves[sign] << shift
+        acc[c + 1] += acc[c] >> half
+        acc[c] = 0
     return table
 
 
@@ -201,10 +198,7 @@ def _fill_block(table: list[int], lo: int, hi: int, offsets: list[int]) -> None:
 
 # Largest n that partition_count and partition_residues accept.  It bounds
 # the exact table: p(200000) has about 1630 bits, and the table up to it
-# holds about 34 MB.  The congruence sweep reads residues mod 385 instead,
-# packed in slots of at most 4 bytes while they are filled; its largest
-# index, p(11k + 6), stays within this limit up to the `--max-k` cap
-# k = 18181 (index 199997).
+# holds about 34 MB.
 PARTITION_LIMIT = 200_000
 
 BRUTE_LIMIT = 60

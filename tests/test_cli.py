@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import signal
 import subprocess
 import sys
 import time
@@ -190,6 +191,13 @@ def test_verify_output_is_deterministic(capsys):
         ["verify", "nothing", "--max-n", "3"],
         ["unknown-command"],
         [],
+        # int() alone takes Unicode digits, underscores and surrounding spaces
+        ["partition", "\u0663"],
+        ["partition", "\uff11\uff12"],  # FULLWIDTH DIGITS ONE and TWO
+        ["partition", "1_0"],
+        ["partition", " 5\n"],
+        ["bell", "\u0662", "1", "2"],
+        ["verify", "congruences", "--max-k", "1_0"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -430,6 +438,21 @@ def test_module_invocation_round_trip():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["overallPass"] is True
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_ends_the_process_by_sigpipe():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qbell", "verify", "congruences", "--max-k", "5000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert err == b""
 
 
 def test_module_invocation_usage_error():

@@ -185,6 +185,17 @@ def test_residue_table_matches_the_oracle_mod_any_modulus(n, modulus):
     assert partition_residues(n, modulus) == [p % modulus for p in expected[: n + 1]]
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 64, 1024])
+def test_residue_table_matches_the_oracle_at_other_chunk_widths(monkeypatch, width):
+    # Width 1 pushes every term and reads none in-chunk; width 1024 reads
+    # offsets up to 1023 in-chunk.
+    monkeypatch.setattr(partitions, "_CHUNK", width)
+    expected = pentagonal_oracle()
+    for n in sorted({0, 1, width - 1, width, width + 1, 2 * width, ORACLE_LIMIT}):
+        for modulus in (1, 7, 385, 10**6):
+            assert partition_residues(n, modulus) == [p % modulus for p in expected[: n + 1]]
+
+
 def test_residue_table_bounds():
     assert partition_residues(0, 7) == [1]
     assert partition_residues(5, 1) == [0] * 6
