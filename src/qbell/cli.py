@@ -24,7 +24,7 @@ from . import identity, series
 from .bell import complete_bell
 from .numtheory import d_coefficient, e_coefficient, sigma
 from .partitions import PARTITION_LIMIT, partition_count
-from .reports import format_exact, render_json
+from .reports import format_exact, write_json
 
 __all__ = ["main", "entry", "build_parser", "parse_rational"]
 
@@ -42,6 +42,8 @@ _EQ3_MAX_ORDER = (PARTITION_LIMIT - 5) // 7
 # Largest theorem --max-n: n! p(7n+5) has at most 4300 digits for n <= 1523,
 # the interpreter's default limit for str() of an int, which the report
 # cannot print past.  The limit is process-global, so it is not raised.
+# Every other report value has under 500 digits.
+_DEFAULT_DIGIT_LIMIT = 4300
 _THEOREM_MAX_N = 1523
 
 # Largest bell n, and largest n^2 u, u a bound of max(bits(b), bits(y_i) / i)
@@ -70,6 +72,14 @@ _VERIFY_TARGETS = (
 
 def _digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", int)()  # digits of str(int); 0: no limit
+
+
+def _check_printable(values, what: str) -> None:
+    """Refuse, with qbell's message, exact values that str() cannot print under the digit limit."""
+    limit = _digit_limit()
+    bound = 10**limit
+    if limit and any(max(abs(value.numerator), value.denominator) >= bound for value in values):
+        raise ValueError(f"{what} are capped at {limit} digits, the interpreter's int limit")
 
 
 def _parse_int(text: str) -> int:
@@ -178,9 +188,7 @@ def _cmd_bell(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         raise ValueError(f"bell work n^2 u is capped at {_BELL_MAX_WORK}, u the bits of "
                          "b^i x_i per unit of i and b the lcm of the denominators")
     value = complete_bell(args.n, xs)
-    limit = _digit_limit()
-    if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
-        raise ValueError(f"bell results are capped at {limit} digits, the interpreter's int limit")
+    _check_printable([value], "bell results")
     print(format_exact(value))
 
 
@@ -193,8 +201,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # one bound row per check, in the same order
     sizes = [getattr(args, dest) for _, dest, _, _ in args.bounds]
     reports = [check(size) for check, size in zip(args.checks, sizes)]
-    payload = [report.to_json_dict() for report in reports]
-    print(render_json(payload if args.target == "all" else payload[0]))
+    # refused before the first byte of the stream; the caps keep every value
+    # printable at the default limit or above
+    if _digit_limit() < _DEFAULT_DIGIT_LIMIT:
+        _check_printable((value for report in reports for entry in report.entries
+                          for value in (entry.computed, entry.expected)), "report values")
+    write_json(reports if args.target == "all" else reports[0], sys.stdout)
+    print()
     return 0 if all(report.overall_pass for report in reports) else 1
 
 

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-__all__ = ["CheckEntry", "VerificationReport", "format_exact", "render_json"]
+__all__ = ["CheckEntry", "VerificationReport", "format_exact", "write_json"]
 
 
 def format_exact(value) -> str:
@@ -47,7 +47,7 @@ class VerificationReport:
         return [entry for entry in self.entries if not entry.passed]
 
     def to_json_dict(self) -> dict:
-        """The wire format: {label, overallPass, entries:[{n, lhs, rhs, pass}]}."""
+        """The wire format as a dict, for checks only: json.dumps of it is write_json's oracle."""
         return {
             "label": self.label,
             "overallPass": self.overall_pass,
@@ -66,52 +66,37 @@ class VerificationReport:
 _LITERALS = {True: "true", False: "false"}
 
 
-def render_json(payload) -> str:
-    """``json.dumps(payload, indent=2)`` for one ``to_json_dict()`` payload or a list of them.
+def write_json(payload, file) -> None:
+    """Write ``json.dumps(to_json_dict(), indent=2)`` of one report, or of a list of them, to file.
 
-    The standard encoder runs in pure Python whenever it indents.  This
-    writer knows the wire format: it lays each entry out from fixed pieces
-    around its values and joins all the parts once.  Strings are escaped by
-    the encoder's own ``encode_basestring_ascii``, as ``json.dumps`` escapes
-    them by default.
+    The standard encoder indents in pure Python and holds the whole document.
+    This writer writes each entry as it renders it, from fixed pieces around
+    its ``CheckEntry`` fields.  The label is escaped by the encoder's own
+    ``encode_basestring_ascii``; ``format_exact`` yields only a sign, digits
+    and "/", which need no escaping.
     """
-    if isinstance(payload, dict):
-        parts = []
-        _append_report(payload, "\n", parts)
+    if isinstance(payload, VerificationReport):
+        reports, newline, separator, closing = (payload,), "\n", "", ""
     elif payload:
-        parts = ["["]
-        for i, report in enumerate(payload):
-            parts.append(",\n  " if i else "\n  ")
-            _append_report(report, "\n  ", parts)
-        parts.append("\n]")
+        reports, newline, separator, closing = payload, "\n  ", "[\n  ", "\n]"
     else:
-        return "[]"
-    return "".join(parts)
-
-
-def _append_report(report: dict, newline: str, parts: list) -> None:
-    """Append one report's parts; newline is a line break and the report's indent."""
+        file.write("[]")
+        return
     inner = newline + "  "
-    parts += (
-        "{", inner, '"label": ', encode_basestring_ascii(report["label"]), ",",
-        inner, '"overallPass": ', _LITERALS[report["overallPass"]], ",",
-        inner, '"entries": ',
-    )
-    entries = report["entries"]
-    if entries:
-        # An entry's long values stay parts of their own, as json.dumps
-        # leaves them, rather than copies inside one formatted string.
-        item = inner + "  "
-        field = item + "  "
-        head = f'{item}{{{field}"n": %d,{field}"lhs": '
-        middle = f',{field}"rhs": '
-        tails = {value: f',{field}"pass": {literal}{item}}}' for value, literal in _LITERALS.items()}
-        separator = "["
-        for entry in entries:
-            parts += (separator, head % entry["n"], encode_basestring_ascii(entry["lhs"]), middle,
-                      encode_basestring_ascii(entry["rhs"]), tails[entry["pass"]])
-            separator = ","
-        parts += (inner, "]")
-    else:
-        parts.append("[]")
-    parts += (newline, "}")
+    item = inner + "  "
+    field = item + "  "
+    head = f'{item}{{{field}"n": '
+    lhs = f',{field}"lhs": "'
+    rhs = f'",{field}"rhs": "'
+    tails = {value: f'",{field}"pass": {literal}{item}}}' for value, literal in _LITERALS.items()}
+    for report in reports:
+        file.write(f'{separator}{{{inner}"label": {encode_basestring_ascii(report.label)},'
+                   f'{inner}"overallPass": {_LITERALS[report.overall_pass]},{inner}"entries": ')
+        separator = ",\n  "
+        opening = "["
+        for entry in report.entries:
+            file.write(f"{opening}{head}{entry.index}{lhs}{format_exact(entry.computed)}"
+                       f"{rhs}{format_exact(entry.expected)}{tails[entry.passed]}")
+            opening = ","
+        file.write(f"{inner}]{newline}}}" if report.entries else f"[]{newline}}}")
+    file.write(closing)

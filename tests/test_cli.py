@@ -326,6 +326,21 @@ def test_theorem_cap_is_the_last_printable_n():
     assert theorem_rhs(cap + 1) >= 10 ** sys.get_int_max_str_digits()
 
 
+def test_verify_refuses_unprintable_values_before_any_output(capsys):
+    # Below the default limit the theorem cap no longer keeps every value
+    # printable; the report is refused whole rather than cut off mid-stream.
+    small = run_cli(capsys, ["verify", "theorem", "--max-n", "100"])
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(1000)
+        code, out, err = run_cli(capsys, ["verify", "theorem", "--max-n", "1523"])
+        assert run_cli(capsys, ["verify", "theorem", "--max-n", "100"]) == small
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (3, "")
+    assert err == "error: report values are capped at 1000 digits, the interpreter's int limit\n"
+
+
 def test_series_order_is_capped_with_eq3(capsys, monkeypatch):
     # series --order builds the same G and H as verify eq3 --order
     from qbell.series import TruncatedSeries

@@ -1,27 +1,39 @@
-"""The report writer: byte-identical to json.dumps(..., indent=2)."""
+"""The report writer: byte-identical to json.dumps(report.to_json_dict(), indent=2)."""
 
+import io
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from qbell import cli
-from qbell.reports import VerificationReport, render_json
+from qbell.identity import verify_congruences
+from qbell.reports import VerificationReport, write_json
 
 
-def _payloads():
-    """The payload of every verify target at its `verify all` default, in that order."""
-    return [check(default).to_json_dict() for *_, default, _, check in cli._VERIFY_TARGETS]
+def _written(payload) -> str:
+    file = io.StringIO()
+    write_json(payload, file)
+    return file.getvalue()
+
+
+def _oracle(payload) -> str:
+    """The wire format through the check-only dict and the standard encoder."""
+    if isinstance(payload, VerificationReport):
+        return json.dumps(payload.to_json_dict(), indent=2)
+    return json.dumps([report.to_json_dict() for report in payload], indent=2)
 
 
 def test_writer_matches_json_dumps_for_every_verify_target():
-    payloads = _payloads()
-    assert [payload["label"] for payload in payloads] == [
+    # every verify target at its `verify all` default, in that order
+    reports = [check(default) for *_, default, _, check in cli._VERIFY_TARGETS]
+    assert [report.label for report in reports] == [
         "bell-identity", "p5k4-series", "p7n5-series", "ramanujan-congruences",
     ]
-    for payload in payloads:
-        assert render_json(payload) == json.dumps(payload, indent=2)
-    assert render_json(payloads) == json.dumps(payloads, indent=2)
+    for report in reports:
+        assert _written(report) == _oracle(report)
+    assert _written(reports) == _oracle(reports)
 
 
 @pytest.mark.parametrize(
@@ -37,15 +49,14 @@ def test_writer_matches_json_dumps_for_every_verify_target():
     ],
 )
 def test_writer_matches_json_dumps_on_edge_reports(reports):
-    payloads = [report.to_json_dict() for report in reports]
-    for payload in payloads:
-        assert render_json(payload) == json.dumps(payload, indent=2)
-    assert render_json(payloads) == json.dumps(payloads, indent=2)
+    for report in reports:
+        assert _written(report) == _oracle(report)
+    assert _written(reports) == _oracle(reports)
 
 
 def test_writer_renders_a_failing_entry_with_both_exact_values():
     report = VerificationReport.from_rows("check", [(7, Fraction(-1, 2), -3)])
-    assert render_json(report.to_json_dict()) == (
+    assert _written(report) == _oracle(report) == (
         "{\n"
         '  "label": "check",\n'
         '  "overallPass": false,\n'
@@ -59,3 +70,26 @@ def test_writer_renders_a_failing_entry_with_both_exact_values():
         "  ]\n"
         "}"
     )
+
+
+class _Sink:
+    """A file that counts what it is given and keeps none of it."""
+
+    size = 0
+
+    def write(self, text: str) -> None:
+        self.size += len(text)
+
+
+def test_writer_streams_without_holding_the_report():
+    report = verify_congruences(5000)
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        write_json(report, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size == len(_oracle(report))
+    # a joined document, or one dict per entry, would hold the whole size
+    assert peak < sink.size / 10, (peak, sink.size)
