@@ -24,7 +24,7 @@ from . import identity, series
 from .bell import complete_bell
 from .numtheory import d_coefficient, e_coefficient, sigma
 from .partitions import PARTITION_LIMIT, partition_count
-from .reports import format_exact, write_json
+from .reports import DIGIT_LIMIT, format_exact, parse_exact, write_json
 
 __all__ = ["main", "entry", "build_parser", "parse_rational"]
 
@@ -39,11 +39,9 @@ _SERIES = {"euler": "euler_product", "G": "series_g", "H": "series_h"}
 # same G and H, so it shares the cap.
 _EQ3_MAX_ORDER = (PARTITION_LIMIT - 5) // 7
 
-# Largest theorem --max-n: n! p(7n+5) has at most 4300 digits for n <= 1523,
-# the interpreter's default limit for str() of an int, which the report
-# cannot print past.  The limit is process-global, so it is not raised.
+# Largest theorem --max-n: n! p(7n+5) has 4298 digits at n = 1523 and 4302
+# at 1524, so the cap keeps report values within DIGIT_LIMIT, as bell's are.
 # Every other report value has under 500 digits.
-_DEFAULT_DIGIT_LIMIT = 4300
 _THEOREM_MAX_N = 1523
 
 # Largest bell n, and largest n^2 u, u a bound of max(bits(b), bits(y_i) / i)
@@ -70,25 +68,10 @@ _VERIFY_TARGETS = (
 )
 
 
-def _digit_limit() -> int:
-    return getattr(sys, "get_int_max_str_digits", int)()  # digits of str(int); 0: no limit
-
-
-def _check_printable(values, what: str) -> None:
-    """Refuse, with qbell's message, exact values that str() cannot print under the digit limit."""
-    limit = _digit_limit()
-    bound = 10**limit
-    if limit and any(max(abs(value.numerator), value.denominator) >= bound for value in values):
-        raise ValueError(f"{what} are capped at {limit} digits, the interpreter's int limit")
-
-
 def _parse_int(text: str) -> int:
     """argparse type of every int argument: ASCII digits and a sign, unlike int() alone."""
-    if _INT_SYNTAX.fullmatch(text):
-        try:
-            return int(text)
-        except ValueError:  # past the interpreter's digit limit
-            pass
+    if _INT_SYNTAX.fullmatch(text) and len(text.lstrip("+-")) <= DIGIT_LIMIT:
+        return parse_exact(text)
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")  # argparse's own wording
 
 
@@ -96,11 +79,10 @@ def parse_rational(text: str) -> Fraction:
     """Parse "num" or "num/den" with an optional sign; no decimal points."""
     if not _RATIONAL_SYNTAX.fullmatch(text):
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
-    limit = _digit_limit()
-    if limit and max(map(len, re.findall(r"[0-9]+", text))) > limit:
-        raise ValueError(f"a rational is capped at {limit} digits, the interpreter's int limit")
+    if max(map(len, re.findall(r"[0-9]+", text))) > DIGIT_LIMIT:
+        raise ValueError(f"a rational is capped at {DIGIT_LIMIT} digits")
     try:
-        return Fraction(text)
+        return Fraction(parse_exact(text))
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"zero denominator: {text!r}") from None
 
@@ -188,7 +170,8 @@ def _cmd_bell(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         raise ValueError(f"bell work n^2 u is capped at {_BELL_MAX_WORK}, u the bits of "
                          "b^i x_i per unit of i and b the lcm of the denominators")
     value = complete_bell(args.n, xs)
-    _check_printable([value], "bell results")
+    if max(abs(value.numerator), value.denominator) >= 10**DIGIT_LIMIT:
+        raise ValueError(f"bell results are capped at {DIGIT_LIMIT} digits")
     print(format_exact(value))
 
 
@@ -201,11 +184,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # one bound row per check, in the same order
     sizes = [getattr(args, dest) for _, dest, _, _ in args.bounds]
     reports = [check(size) for check, size in zip(args.checks, sizes)]
-    # refused before the first byte of the stream; the caps keep every value
-    # printable at the default limit or above
-    if _digit_limit() < _DEFAULT_DIGIT_LIMIT:
-        _check_printable((value for report in reports for entry in report.entries
-                          for value in (entry.computed, entry.expected)), "report values")
     write_json(reports if args.target == "all" else reports[0], sys.stdout)
     print()
     return 0 if all(report.overall_pass for report in reports) else 1

@@ -1,15 +1,32 @@
-"""Pass/fail verification reports with deterministic JSON rendering."""
+"""Pass/fail verification reports, the exact number codec, deterministic JSON rendering."""
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-__all__ = ["CheckEntry", "VerificationReport", "format_exact", "write_json"]
+__all__ = ["DIGIT_LIMIT", "CheckEntry", "VerificationReport", "format_exact", "parse_exact",
+           "write_json"]
+
+# digits of a numerator or a denominator that the command line prints or parses
+DIGIT_LIMIT = 4300
 
 
 def format_exact(value) -> str:
     """Render an exact value: integers as plain decimals, others as num/den."""
-    return str(value if type(value) is int else Fraction(value))
+    value = value if type(value) is int else Fraction(value)
+    try:
+        return str(value)
+    except ValueError:  # past the interpreter's str() limit, which decimal does not follow
+        num, den = (str(Decimal(part)) for part in (value.numerator, value.denominator))
+        return num if den == "1" else f"{num}/{den}"
+
+
+def parse_exact(text: str) -> int | Fraction:
+    """Invert format_exact, past int()'s limit too; the caller checks syntax and DIGIT_LIMIT."""
+    num, _, den = text.partition("/")
+    value = int(Decimal(num))
+    return Fraction(value, int(Decimal(den))) if den else value
 
 
 @dataclass(frozen=True)

@@ -100,7 +100,7 @@ class TruncatedSeries:
         return hash(self._coeffs)
 
     def __repr__(self) -> str:
-        shown = ", ".join(str(c) for c in self._coeffs[:8])
+        shown = ", ".join(map(format_exact, self._coeffs[:8]))
         if self.order >= 8:
             shown += ", ..."
         return f"TruncatedSeries(order={self.order}, [{shown}])"

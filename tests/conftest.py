@@ -1,10 +1,12 @@
 """Shared test plumbing: collects acceptance-criterion outcomes for the
 terminal summary so a plain ``pytest`` run ends with one line per criterion,
 lets the tests' child processes import the qbell that the tests import, and
-holds the test oracles that more than one test module uses.
+holds the test oracles and helpers that more than one test module uses.
 """
 
+import contextlib
 import os
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,6 +36,17 @@ def e_by_branch(n: int) -> Fraction:
     if n % 7 == 0:
         value -= 7 * Fraction(sigma(n // 7), n // 7)
     return value
+
+
+@contextlib.contextmanager
+def int_max_str_digits(limit: int):
+    """Run the block under the interpreter's digit limit for str() and int() set to limit."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def pytest_terminal_summary(terminalreporter):

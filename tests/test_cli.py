@@ -10,8 +10,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import int_max_str_digits
+
 from qbell import cli
 from qbell.identity import theorem_rhs, verify_congruences, verify_theorem
+from qbell.reports import DIGIT_LIMIT, format_exact
 from qbell.series import verify_p5k4_identity, verify_p7n5_identity
 
 
@@ -231,7 +234,7 @@ def test_usage_errors_exit_two(capsys, argv):
         # u = 28.5 from 4i-digit numerators over 19949; ran 57.5 s before exit 3
         ["bell", "1000", *[f"{'7' * (4 * i)}/19949" for i in range(1, 1001)]],
         # b alone passes the work bound at its first 4000-digit denominator
-        ["bell", "400", *[f"1/{10**3999 + 2 * i + 1}" for i in range(400)]],
+        ["bell", "400", *[f"1/1{2 * i + 1:03999d}" for i in range(400)]],
         ["verify", "all", "--max-n", "1523", "--order", "28570", "--max-k", "-1"],
     ],
 )
@@ -319,26 +322,44 @@ def test_verify_runs_at_its_cap(capsys, stub_reports):
 
 
 def test_theorem_cap_is_the_last_printable_n():
-    # The cap keeps n! p(7n+5) within the interpreter's limit for str() of
-    # an int; one step past it the right side no longer prints.
+    # The cap keeps n! p(7n+5) within qbell's digit bound; one step past it
+    # the right side is past the bound.
     cap = cli._THEOREM_MAX_N
-    assert len(str(theorem_rhs(cap))) <= sys.get_int_max_str_digits()
-    assert theorem_rhs(cap + 1) >= 10 ** sys.get_int_max_str_digits()
+    assert len(format_exact(theorem_rhs(cap))) <= DIGIT_LIMIT
+    assert theorem_rhs(cap + 1) >= 10**DIGIT_LIMIT
 
 
-def test_verify_refuses_unprintable_values_before_any_output(capsys):
-    # Below the default limit the theorem cap no longer keeps every value
-    # printable; the report is refused whole rather than cut off mid-stream.
-    small = run_cli(capsys, ["verify", "theorem", "--max-n", "100"])
-    limit = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(1000)
-        code, out, err = run_cli(capsys, ["verify", "theorem", "--max-n", "1523"])
-        assert run_cli(capsys, ["verify", "theorem", "--max-n", "100"]) == small
-    finally:
-        sys.set_int_max_str_digits(limit)
-    assert (code, out) == (3, "")
-    assert err == "error: report values are capped at 1000 digits, the interpreter's int limit\n"
+@pytest.mark.parametrize("limit", [640, 0])  # the interpreter's smallest limit, and none
+def test_values_within_the_bound_do_not_follow_the_interpreter_limit(capsys, limit):
+    argvs = [
+        ["verify", "theorem", "--max-n", "400"],  # values up to about 950 digits
+        ["bell", "2", "0", "9" * DIGIT_LIMIT],  # a result at the bound
+        ["bell", "1", "7" * DIGIT_LIMIT],  # an argument at the bound
+    ]
+    with int_max_str_digits(DIGIT_LIMIT):
+        expected = [run_cli(capsys, argv) for argv in argvs]
+    assert [result[0] for result in expected] == [0, 0, 0]
+    with int_max_str_digits(limit):
+        assert [run_cli(capsys, argv) for argv in argvs] == expected
+
+
+@pytest.mark.parametrize("limit", [DIGIT_LIMIT, 640, 0])
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["bell", "1", "7" * (DIGIT_LIMIT + 1)],
+         3, f"error: a rational is capped at {DIGIT_LIMIT} digits\n"),
+        (["partition", "0" * DIGIT_LIMIT + "5"], 2, "invalid int value"),  # leading zeros count
+    ],
+    ids=["bell", "partition"],
+)
+def test_arguments_past_the_bound_are_refused_under_any_interpreter_limit(
+    capsys, limit, argv, code, err
+):
+    with int_max_str_digits(limit):
+        result = run_cli(capsys, argv)
+    assert result[:2] == (code, "")
+    assert err in result[2]
 
 
 def test_series_order_is_capped_with_eq3(capsys, monkeypatch):
@@ -362,10 +383,9 @@ def test_series_order_is_capped_with_eq3(capsys, monkeypatch):
     ],
 )
 def test_bell_refuses_values_past_the_digit_limit(capsys, argv):
-    limit = sys.get_int_max_str_digits()
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (3, "")
-    assert err.startswith("error:") and f"capped at {limit} digits" in err
+    assert err.startswith("error:") and f"capped at {DIGIT_LIMIT} digits" in err
     assert "set_int_max_str_digits" not in err  # qbell's message, not the interpreter's
 
 
@@ -398,29 +418,13 @@ def test_bell_argument_check_runs_before_any_work(capsys, monkeypatch, argv, ref
 
 
 def test_bell_work_bound_holds_without_the_digit_limit(capsys):
-    limit = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(0)
+    with int_max_str_digits(0):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, ["bell", "1000", *["9" * 100] * 1000])
         elapsed = time.perf_counter() - start
-    finally:
-        sys.set_int_max_str_digits(limit)
     assert (code, out) == (3, "")
     assert err.startswith("error: bell work n^2 u is capped at")
     assert elapsed < 1.0
-
-
-def test_bell_digit_guard_follows_the_interpreter_limit(capsys):
-    # the largest value that prints passes, and a limit of 0 means no limit
-    limit = sys.get_int_max_str_digits()
-    big = "7" * limit
-    assert run_cli(capsys, ["bell", "1", big]) == (0, big + "\n", "")
-    try:
-        sys.set_int_max_str_digits(0)
-        assert run_cli(capsys, ["bell", "1", big + "7"]) == (0, big + "7\n", "")
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def test_verification_failure_exits_one(capsys, monkeypatch):

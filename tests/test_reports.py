@@ -1,4 +1,8 @@
-"""The report writer: byte-identical to json.dumps(report.to_json_dict(), indent=2)."""
+"""The report writer: byte-identical to json.dumps(report.to_json_dict(), indent=2).
+
+Also the exact number codec under it: format_exact and parse_exact give
+the same text and values whatever the interpreter's digit limit is.
+"""
 
 import io
 import json
@@ -6,10 +10,14 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import int_max_str_digits
 
 from qbell import cli
 from qbell.identity import verify_congruences
-from qbell.reports import VerificationReport, write_json
+from qbell.reports import DIGIT_LIMIT, VerificationReport, format_exact, parse_exact, write_json
 
 
 def _written(payload) -> str:
@@ -93,3 +101,23 @@ def test_writer_streams_without_holding_the_report():
     assert sink.size == len(_oracle(report))
     # a joined document, or one dict per entry, would hold the whole size
     assert peak < sink.size / 10, (peak, sink.size)
+
+
+# digit counts up to the bound, with the edges around the interpreter's smallest limit, 640
+_digit_counts = st.one_of(st.sampled_from([1, 639, 640, 641, DIGIT_LIMIT]),
+                          st.integers(1, DIGIT_LIMIT))
+_magnitudes = _digit_counts.flatmap(lambda n: st.integers(10 ** (n - 1) if n > 1 else 0, 10**n - 1))
+_signed = st.builds(lambda sign, m: sign * m, st.sampled_from([1, -1]), _magnitudes)
+_exact_values = st.one_of(_signed, st.builds(Fraction, _signed, _magnitudes.filter(bool)))
+
+
+@given(_exact_values)
+@settings(deadline=None)
+def test_codec_matches_str_under_the_default_limit_whatever_the_interpreter_limit(value):
+    with int_max_str_digits(DIGIT_LIMIT):
+        expected = str(value)
+    with int_max_str_digits(640):
+        text = format_exact(value)
+        parsed = parse_exact(text)
+    assert text == expected
+    assert parsed == value

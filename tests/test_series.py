@@ -79,6 +79,10 @@ def test_equality_and_hash():
     assert a != TruncatedSeries([1, 2, 4])
 
 
+def test_repr_renders_coefficients_past_the_interpreter_digit_limit():
+    assert repr(TruncatedSeries([10**5000, 1])) == f"TruncatedSeries(order=1, [1{'0' * 5000}, 1])"
+
+
 def test_addition_and_scalars():
     a = TruncatedSeries([1, 2, 3])
     b = TruncatedSeries([0, 1, 1])
