@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .numtheory import EtaQuotient, G, H, P5K4
 from .partitions import partition_count, pentagonal_numbers
@@ -284,48 +284,47 @@ def series_h(order: int) -> TruncatedSeries:
     return _eta_quotient(H, order)
 
 
-def extract_log_coefficients(which: str, order: int) -> list[int | Fraction]:
-    """Coefficients 1..order of ln(G(x)/7) or of ln(H(x)/(49x)).
+def extract_log_coefficients(row: EtaQuotient, order: int) -> list[int | Fraction]:
+    """Coefficients 1..order of ln(row / (scale x^shift)) for a row of the eta-quotient table.
 
-    The check-only log route to d and e: the tests hold it to the closed
-    forms of :mod:`qbell.numtheory`, and no report or command calls it.
-    Dividing out each row's scale x^shift removes the constants whose logs
+    The check-only log route to each row's weights: the tests hold it to the
+    closed forms of :mod:`qbell.numtheory`, and no report or command calls it.
+    Dividing out the row's scale x^shift removes the constants whose logs
     are not rational, leaving a series with constant term 1 whose log lives
-    entirely in the rationals.  The returned lists are the d and e
-    coefficient sequences of qbell.numtheory.
+    entirely in the rationals.  For G and H the returned lists are the d and
+    e coefficient sequences of qbell.numtheory.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if which not in ("G", "H"):
-        raise ValueError("which must be 'G' or 'H'")
-    row, build = (G, series_g) if which == "G" else (H, series_h)
-    normalized = TruncatedSeries(build(order + row.shift).coefficients[row.shift:]) / row.scale
-    return list(normalized.log().coefficients[1 : order + 1])
+    coeffs = _eta_quotient(row, order + row.shift).coefficients[row.shift:]
+    return list((TruncatedSeries(coeffs) / row.scale).log().coefficients[1:])
 
 
 # -- coefficient-level verification ----------------------------------------
 
 
 def _residue_class_report(
-    label: str, s: TruncatedSeries, modulus: int, residue: int
+    label: str, build: Callable[[int], TruncatedSeries], order: int, modulus: int, residue: int
 ) -> VerificationReport:
-    """Check coefficient n of s against p(modulus * n + residue) for every n."""
-    partition_count(modulus * s.order + residue)  # fill the table once, up front
+    """Check coefficient n of build(order) against p(modulus * n + residue), 0 <= n <= order."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    partition_count(modulus * order + residue)  # the bound and a one-time fill, before the build
     rows = (
         (n, computed, partition_count(modulus * n + residue))
-        for n, computed in enumerate(s.coefficients)
+        for n, computed in enumerate(build(order).coefficients)
     )
     return VerificationReport.from_rows(label, rows)
 
 
 def verify_p7n5_identity(order: int) -> VerificationReport:
     """Check that coefficient n of G + H equals p(7n+5) for 0 <= n <= order."""
-    return _residue_class_report("p7n5-series", series_g(order) + series_h(order), 7, 5)
+    return _residue_class_report("p7n5-series", lambda k: series_g(k) + series_h(k), order, 7, 5)
 
 
 def verify_p5k4_identity(order: int) -> VerificationReport:
     """Check that coefficient k of 5 (x^5;x^5)_inf^5 / (x;x)_inf^6 equals p(5k+4)."""
-    return _residue_class_report("p5k4-series", _eta_quotient(P5K4, order), 5, 4)
+    return _residue_class_report("p5k4-series", lambda k: _eta_quotient(P5K4, k), order, 5, 4)
 
 
 def coefficient_lines(series: TruncatedSeries) -> list[str]:

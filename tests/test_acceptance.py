@@ -18,6 +18,8 @@ from qbell import cli
 from qbell.bell import complete_bell, partial_bell, partial_bell_by_enumeration
 from qbell.identity import theorem_lhs
 from qbell.numtheory import (
+    G,
+    H,
     d_coefficient,
     e_coefficient,
     seven_adic_split,
@@ -111,8 +113,8 @@ def test_criterion_4_congruence_sweep(capsys):
 
 def test_criterion_5_log_coefficients_match_closed_forms():
     extracted_ok = (
-        extract_log_coefficients("G", 100) == [d_coefficient(i) for i in range(1, 101)]
-        and extract_log_coefficients("H", 100)
+        extract_log_coefficients(G, 100) == [d_coefficient(i) for i in range(1, 101)]
+        and extract_log_coefficients(H, 100)
         == [e_coefficient(i) for i in range(1, 101)]
     )
     branch_ok = all(

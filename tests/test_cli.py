@@ -306,6 +306,19 @@ def test_verify_lower_bounds_are_checked_before_any_report(
     assert stub_reports == []
 
 
+def test_verify_all_exits_1_when_any_one_report_fails(capsys, monkeypatch, stub_reports):
+    from qbell.reports import VerificationReport
+
+    failing = VerificationReport.from_rows("eq2", [(0, 1, 2)])
+    monkeypatch.setattr(cli.series, "verify_p5k4_identity", lambda size: failing)
+    code, out, err = run_cli(capsys, ["verify", "all"])
+    assert (code, err) == (1, "")
+    docs = json.loads(out)
+    assert [(doc["label"], doc["overallPass"]) for doc in docs] == [
+        ("theorem", True), ("eq2", False), ("eq3", True), ("congruences", True)
+    ]
+
+
 def test_verify_caps_are_checked_before_lower_bounds(capsys, stub_reports):
     argv = ["verify", "all", "--max-n", "0", "--order", "30000"]
     assert run_cli(capsys, argv) == (3, "", "error: verify eq3 --order is capped at 28570\n")

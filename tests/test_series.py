@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from qbell.numtheory import G, H, P5K4, _weight, d_coefficient, e_coefficient, s
 from qbell.partitions import partition_count
 from qbell.series import (
     TruncatedSeries,
-    _eta_quotient,
     coefficient_lines,
     euler_product,
     extract_log_coefficients,
@@ -289,11 +289,11 @@ def test_g_plus_h_counts_partitions_in_residue_class():
 
 
 def test_extract_log_coefficients_first_values():
-    assert extract_log_coefficients("G", 7) == [
+    assert extract_log_coefficients(G, 7) == [
         Fraction(4), Fraction(6), Fraction(16, 3), Fraction(7),
         Fraction(24, 5), Fraction(8), Fraction(11, 7),
     ]
-    assert extract_log_coefficients("H", 7) == [
+    assert extract_log_coefficients(H, 7) == [
         Fraction(8), Fraction(12), Fraction(32, 3), Fraction(14),
         Fraction(48, 5), Fraction(16), Fraction(15, 7),
     ]
@@ -304,18 +304,15 @@ def test_every_table_row_has_its_weights_as_log_coefficients(row):
     # P5K4's weights 6 sigma(n) - 25 sigma(n/5) are read by no report, and are
     # the only row with r != 7
     order = 300
-    built = _eta_quotient(row, order + row.shift)
-    logs = (TruncatedSeries(built.coefficients[row.shift:]) / row.scale).log()
-    assert logs.order == order
-    for n in range(1, order + 1):
-        assert logs[n] == Fraction(_weight(n, row), n), n
+    logs = extract_log_coefficients(row, order)
+    assert len(logs) == order
+    for n, value in enumerate(logs, 1):
+        assert value == Fraction(_weight(n, row), n), n
 
 
 def test_extract_log_coefficients_validation():
     with pytest.raises(ValueError):
-        extract_log_coefficients("Q", 5)
-    with pytest.raises(ValueError):
-        extract_log_coefficients("G", 0)
+        extract_log_coefficients(G, 0)
 
 
 # -- report-producing checks --------------------------------------------------
@@ -342,6 +339,28 @@ def test_p5k4_report_passes_with_expected_entries():
     assert report.entries[2].computed == 135
     for entry in report.entries:
         assert entry.expected == partition_count(5 * entry.index + 4)
+
+
+@pytest.mark.parametrize(
+    "report, order, message",
+    [
+        (verify_p5k4_identity, 40000, "capped"),
+        (verify_p7n5_identity, 28571, "capped"),
+        (verify_p5k4_identity, -1, "order must be >= 0"),
+        (verify_p7n5_identity, -1, "order must be >= 0"),
+    ],
+)
+def test_series_reports_refuse_a_size_before_building_a_series(
+    monkeypatch, report, order, message
+):
+    def unbuilt(_order):
+        raise AssertionError("built a series for a refused size")
+
+    monkeypatch.setattr(qbell.series, "euler_product", unbuilt)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        report(order)
+    assert time.perf_counter() - start < 1.0
 
 
 def assert_fails_only_at(report, index, capsys, argv):
@@ -408,7 +427,7 @@ def test_results_hold_ints_where_integral(a, b, e, m, r, n):
     for result in results:
         assert_canonical(result.coefficients)
     assert (a / m) * m == a  # a float quotient would be inexact
-    assert_canonical(extract_log_coefficients("H", n))
+    assert_canonical(extract_log_coefficients(H, n))
 
 
 def test_named_series_run_over_ints():
