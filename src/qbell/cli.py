@@ -22,7 +22,7 @@ from math import lcm
 
 from . import identity, series
 from .bell import complete_bell
-from .numtheory import d_coefficient, e_coefficient, sigma
+from .numtheory import SUM_5K4, SUM_7N5, d_coefficient, e_coefficient, sigma
 from .partitions import PARTITION_LIMIT, partition_count
 from .reports import DIGIT_LIMIT, format_exact, parse_exact, write_json
 
@@ -35,9 +35,9 @@ _RATIONAL_SYNTAX = re.compile(rf"{_INT_SYNTAX.pattern}(/[0-9]+)?")
 # call time, so one patched after import (a test double, a tracer) runs.
 _SERIES = {"euler": "euler_product", "G": "series_g", "H": "series_h"}
 
-# Largest eq3 --order, p(7N+5) <= PARTITION_LIMIT; series --order builds the
-# same G and H, so it shares the cap.
-_EQ3_MAX_ORDER = (PARTITION_LIMIT - 5) // 7
+# Largest eq2 and eq3 --order N, p(modulus N + residue) <= PARTITION_LIMIT for their
+# sum; series --order builds the same G and H as eq3, so it shares eq3's cap.
+_EQ2_MAX_ORDER, _EQ3_MAX_ORDER = ((PARTITION_LIMIT - r) // m for m, r, _ in (SUM_5K4, SUM_7N5))
 
 # Largest theorem --max-n: n! p(7n+5) has 4298 digits at n = 1523 and 4302
 # at 1524, so the cap keeps report values within DIGIT_LIMIT, as bell's are.
@@ -60,7 +60,7 @@ _VERIFY_TARGETS = (
     ("theorem", "Bell-polynomial identity for n! p(7n+5)", "--max-n", 1, 64,
      _THEOREM_MAX_N, lambda size: identity.verify_theorem(size)),
     ("eq2", "series identity for p(5k+4)", "--order", 0, 200,
-     (PARTITION_LIMIT - 4) // 5, lambda size: series.verify_p5k4_identity(size)),
+     _EQ2_MAX_ORDER, lambda size: series.verify_p5k4_identity(size)),
     ("eq3", "series identity for p(7n+5)", "--order", 0, 200,
      _EQ3_MAX_ORDER, lambda size: series.verify_p7n5_identity(size)),
     ("congruences", "p(5k+4), p(7k+5), p(11k+6) divisibility", "--max-k", 0, 1000,
@@ -108,15 +108,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=_parse_int)
     p.set_defaults(run=_cmd_coeff, bounds=())
 
-    p = sub.add_parser(
+    bell = sub.add_parser(
         "bell",
         help="print the complete Bell polynomial B_n(x1, ..., xn)",
         description="Arguments are exact rationals, written num or num/den.",
     )
-    p.add_argument("n", type=_parse_int)
-    p.add_argument("xs", nargs=argparse.REMAINDER, metavar="x")
-    p.set_defaults(run=lambda args: _cmd_bell(parser, args),
-                   bounds=[("bell n", "n", None, _BELL_MAX_N)])
+    bell.add_argument("n", type=_parse_int)
+    bell.add_argument("xs", nargs=argparse.REMAINDER, metavar="x")
+    bell.set_defaults(run=lambda args: _cmd_bell(bell, args),
+                      bounds=[("bell n", "n", None, _BELL_MAX_N)])
 
     p = sub.add_parser(
         "series", help="print a truncated series, one coefficient per line"

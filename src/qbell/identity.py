@@ -34,7 +34,7 @@ and both reports here pass an entry exactly when its two sides are equal
 from fractions import Fraction
 from math import factorial, prod
 
-from .numtheory import G, H, d_coefficient, e_coefficient
+from .numtheory import SUM_7N5, d_coefficient, e_coefficient
 from .partitions import partition_count, partition_residues
 from .reports import VerificationReport
 from .series import TruncatedSeries
@@ -61,7 +61,7 @@ def _exp_formula(n: int, coefficient) -> tuple:
 def _left_sides(max_n: int) -> list:
     """The left sides n! (7 a_n + 49 b_{n-1}) of ``theorem_lhs`` for 1 <= n <= max_n."""
     terms = [(row.scale, row.shift, _exp_formula(max_n - row.shift, coefficient))
-             for row, coefficient in ((G, d_coefficient), (H, e_coefficient))]
+             for row, coefficient in zip(SUM_7N5.rows, (d_coefficient, e_coefficient))]
     sides = []
     n_factorial = 1
     for n in range(1, max_n + 1):
@@ -87,7 +87,7 @@ def theorem_rhs(n: int) -> int:
     """n! * p(7n + 5)."""
     if n < 1:
         raise ValueError("the identity is stated for n >= 1")
-    return factorial(n) * partition_count(7 * n + 5)
+    return factorial(n) * partition_count(SUM_7N5.modulus * n + SUM_7N5.residue)
 
 
 def verify_theorem(max_n: int) -> VerificationReport:
@@ -99,7 +99,7 @@ def verify_theorem(max_n: int) -> VerificationReport:
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    partition_count(7 * max_n + 5)  # fill the table once, up front
+    theorem_rhs(max_n)  # fill the table once, up front
     rows = ((n, lhs, theorem_rhs(n)) for n, lhs in enumerate(_left_sides(max_n), 1))
     return VerificationReport.from_rows("bell-identity", rows)
 

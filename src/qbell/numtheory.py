@@ -94,14 +94,17 @@ def sigma_ratio(n: int) -> Fraction:
     return Fraction(7 ** (m + 1) - 1, 7 ** m - 1)
 
 
-# Rows scale x^shift E(x^r)^a / E(x)^b, E(x) = (x;x)_inf: Ramanujan's sum p(7n+5) x^n
-# is G + H and sum p(5k+4) x^k is P5K4.  qbell.series builds them, and qbell.identity
-# sums them.  By ln E(x) = -sum sigma(n) x^n / n, ln(row / (scale x^shift)) = sum c_n x^n
+# Rows scale x^shift E(x^r)^a / E(x)^b, E(x) = (x;x)_inf; Ramanujan's sum of p(modulus n
+# + residue) x^n is the sum of its rows.  qbell.series checks the sums, and qbell.identity
+# reads SUM_7N5.  By ln E(x) = -sum sigma(n) x^n / n, ln(row / (scale x^shift)) = sum c_n x^n
 # with weights n c_n = b sigma(n) - a r sigma(n/r), the second term only when r | n.
 EtaQuotient = namedtuple("EtaQuotient", "scale shift r a b")
 G = EtaQuotient(7, 0, 7, 3, 4)
 H = EtaQuotient(49, 1, 7, 7, 8)
 P5K4 = EtaQuotient(5, 0, 5, 5, 6)
+RamanujanSum = namedtuple("RamanujanSum", "modulus residue rows")
+SUM_7N5 = RamanujanSum(7, 5, (G, H))
+SUM_5K4 = RamanujanSum(5, 4, (P5K4,))
 
 
 def _weight(n: int, row: EtaQuotient) -> int:

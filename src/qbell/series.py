@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .numtheory import EtaQuotient, G, H, P5K4
+from .numtheory import SUM_5K4, SUM_7N5, EtaQuotient, G, H, RamanujanSum
 from .partitions import partition_count, pentagonal_numbers
 from .reports import VerificationReport, format_exact
 
@@ -303,28 +303,28 @@ def extract_log_coefficients(row: EtaQuotient, order: int) -> list[int | Fractio
 # -- coefficient-level verification ----------------------------------------
 
 
-def _residue_class_report(
-    label: str, build: Callable[[int], TruncatedSeries], order: int, modulus: int, residue: int
-) -> VerificationReport:
-    """Check coefficient n of build(order) against p(modulus * n + residue), 0 <= n <= order."""
+def _residue_class_report(label: str, target: RamanujanSum, order: int) -> VerificationReport:
+    """Check coefficient n of the sum of the target's rows against p(modulus n + residue)."""
     if order < 0:
         raise ValueError("order must be >= 0")
+    modulus, residue, eta_rows = target
     partition_count(modulus * order + residue)  # the bound and a one-time fill, before the build
+    built = sum((_eta_quotient(row, order) for row in eta_rows), TruncatedSeries.zero(order))
     rows = (
         (n, computed, partition_count(modulus * n + residue))
-        for n, computed in enumerate(build(order).coefficients)
+        for n, computed in enumerate(built.coefficients)
     )
     return VerificationReport.from_rows(label, rows)
 
 
 def verify_p7n5_identity(order: int) -> VerificationReport:
     """Check that coefficient n of G + H equals p(7n+5) for 0 <= n <= order."""
-    return _residue_class_report("p7n5-series", lambda k: series_g(k) + series_h(k), order, 7, 5)
+    return _residue_class_report("p7n5-series", SUM_7N5, order)
 
 
 def verify_p5k4_identity(order: int) -> VerificationReport:
     """Check that coefficient k of 5 (x^5;x^5)_inf^5 / (x;x)_inf^6 equals p(5k+4)."""
-    return _residue_class_report("p5k4-series", lambda k: _eta_quotient(P5K4, k), order, 5, 4)
+    return _residue_class_report("p5k4-series", SUM_5K4, order)
 
 
 def coefficient_lines(series: TruncatedSeries) -> list[str]:

@@ -208,6 +208,8 @@ def test_usage_errors_exit_two(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err != ""
+    if argv[:1] == ["bell"]:  # the handler's own errors print bell's usage, as argparse's do
+        assert captured.err.startswith("usage: qbell bell ")
 
 
 @pytest.mark.parametrize(

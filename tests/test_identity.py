@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,18 @@ def test_congruence_report_fails_at_a_shifted_partition_count(monkeypatch, capsy
 def test_verify_theorem_validation():
     with pytest.raises(ValueError):
         verify_theorem(0)
+
+
+@pytest.mark.parametrize("report, size", [(verify_theorem, 28571), (verify_congruences, 18182)])
+def test_reports_refuse_a_size_before_any_work(monkeypatch, report, size):
+    def unbuilt(_max_n):
+        raise AssertionError("built the left sides for a refused size")
+
+    monkeypatch.setattr(qbell.identity, "_left_sides", unbuilt)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="capped"):
+        report(size)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_partition_residues_vanish():

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 import qbell.identity
 import qbell.series
 from qbell import cli
-from qbell.numtheory import G, H, P5K4, _weight, d_coefficient, e_coefficient, sigma
+from qbell.numtheory import (
+    G, H, P5K4, SUM_5K4, SUM_7N5, _weight, d_coefficient, e_coefficient, sigma,
+)
 from qbell.partitions import partition_count
 from qbell.series import (
     TruncatedSeries,
@@ -279,10 +281,13 @@ def test_series_h_first_coefficients():
     assert series_h(4).coefficients == (0, 49, 392, 2156, 9408)
 
 
-def test_g_plus_h_counts_partitions_in_residue_class():
-    total = series_g(40) + series_h(40)
+@pytest.mark.parametrize("target", [SUM_7N5, SUM_5K4], ids=["SUM_7N5", "SUM_5K4"])
+def test_every_table_sum_counts_partitions_in_its_residue_class(target):
+    # the table entry alone, apart from the eq2/eq3 reports that read it
+    rows = (qbell.series._eta_quotient(row, 40) for row in target.rows)
+    total = sum(rows, TruncatedSeries.zero(40))
     for n in range(41):
-        assert total[n] == partition_count(7 * n + 5)
+        assert total[n] == partition_count(target.modulus * n + target.residue)
 
 
 # -- log-coefficient extraction ----------------------------------------------
@@ -370,12 +375,17 @@ def assert_fails_only_at(report, index, capsys, argv):
 
 
 def test_p7n5_report_fails_at_a_bumped_h_coefficient(monkeypatch, capsys):
-    def bumped_h(order):
-        coeffs = list(series_h(order).coefficients)
+    eta_quotient = qbell.series._eta_quotient
+
+    def bumped_h(row, order):
+        built = eta_quotient(row, order)
+        if row != H:
+            return built
+        coeffs = list(built.coefficients)
         coeffs[17] += 1
         return TruncatedSeries(coeffs)
 
-    monkeypatch.setattr(qbell.series, "series_h", bumped_h)
+    monkeypatch.setattr(qbell.series, "_eta_quotient", bumped_h)
     report = verify_p7n5_identity(30)
     assert report.entries[17].computed == report.entries[17].expected + 1
     assert_fails_only_at(report, 17, capsys, ["verify", "eq3", "--order", "30"])
