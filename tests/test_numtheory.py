@@ -2,7 +2,10 @@
 
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import d_by_branch, e_by_branch
 
+from qbell import numtheory
 from qbell.numtheory import (
     SIGMA_LIMIT,
     SevenAdicSplit,
@@ -23,6 +27,19 @@ from qbell.numtheory import (
 
 def sigma_by_scan(n: int) -> int:
     return sum(d for d in range(1, n + 1) if n % d == 0)
+
+
+SIEVE_LIMIT = 10**5
+
+
+@lru_cache(maxsize=None)
+def divisor_sums() -> tuple[int, ...]:
+    """sigma(0) .. sigma(SIEVE_LIMIT) by adding each d to its multiples; sigma(0) reads 0."""
+    sums = [0] * (SIEVE_LIMIT + 1)
+    for d in range(1, SIEVE_LIMIT + 1):
+        for m in range(d, SIEVE_LIMIT + 1, d):
+            sums[m] += d
+    return tuple(sums)
 
 
 # -- sigma -------------------------------------------------------------------
@@ -51,6 +68,61 @@ def test_sigma_matches_sympy_at_seeded_indices():
     rng = random.Random(1729)
     for n in sorted(rng.sample(range(1, 10**5 + 1), 200)) + [5040 * 7, 7**5, 10**5]:
         assert sigma(n) == int(divisor_sigma(n))
+
+
+def test_sigma_miss_body_matches_divisor_sieve():
+    # the uncached body, so that hits left by other tests hide nothing
+    sums = divisor_sums()
+    assert [sigma.__wrapped__(n) for n in range(1, SIEVE_LIMIT + 1)] == list(sums[1:])
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (1, 1),
+        (997**2, 1 + 997 + 997**2),  # the last listed prime, squared: 994009
+        (991 * 997, (991 + 1) * (997 + 1)),  # the last two listed primes: 988027
+        (999983, 999984),  # the largest prime below 10^6: all cofactor
+        (2 * 499979, 3 * 499980),  # a small prime times a prime cofactor
+        (10**6, 127 * 19531),  # sigma(2^6) sigma(5^6)
+    ],
+)
+def test_sigma_miss_body_at_the_prime_list_end_and_cofactor(n, expected):
+    assert sigma.__wrapped__(n) == expected
+
+
+def test_sigma_miss_body_fails_without_the_last_prime(monkeypatch):
+    monkeypatch.setattr(numtheory, "_PRIMES", tuple(p for p in numtheory._PRIMES if p != 997))
+    assert sigma.__wrapped__(997**2) != 995007
+
+
+def test_concurrent_misses_match_the_sieve():
+    # Threads race on an emptied cache over overlapping ranges while the
+    # interpreter switches threads as often as it can.
+    sums = divisor_sums()
+    sigma.cache_clear()
+    workers = 4
+    start = threading.Barrier(workers)
+    wrong = [None] * workers
+
+    def work(slot):
+        ns = list(range(1 + slot * 10_000, 40_001 + slot * 10_000))
+        random.Random(slot).shuffle(ns)
+        start.wait(timeout=30)
+        wrong[slot] = [n for n in ns if sigma(n) != sums[n]]
+
+    threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == [[]] * workers
 
 
 @pytest.mark.parametrize("bad", [0, -1, -12])
