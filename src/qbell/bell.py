@@ -92,9 +92,9 @@ def complete_bell(n: int, args: Sequence) -> Fraction:
 def complete_bell_sequence(n: int, args: Sequence) -> list[Fraction]:
     """[B_0, B_1, ..., B_n] for the given arguments, in one O(n^2) pass.
 
-    Oracle for the theorem route: :mod:`qbell.identity` computes the left
-    side by the exponential formula, and the tests hold it to this
-    sequence on the arguments i! d_i and i! e_i.  No report calls it.
+    Oracle for the Bell side of :func:`qbell.series.residue_class_report`,
+    which runs the exponential formula; the tests hold it to this sequence
+    on the arguments i! d_i and i! e_i.  No report calls it.
 
     The recurrence runs over ints: with b the lcm of the denominators of
     x_1..x_n and y_i = b^i x_i, the scaling rule

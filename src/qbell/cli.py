@@ -17,12 +17,13 @@ import argparse
 import re
 import signal
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
 from . import identity, series
 from .bell import complete_bell
-from .numtheory import SUM_5K4, SUM_7N5, d_coefficient, e_coefficient, sigma
+from .numtheory import SUM_5K4, SUM_7N5, RamanujanSum, d_coefficient, e_coefficient, sigma
 from .partitions import PARTITION_LIMIT, partition_count
 from .reports import DIGIT_LIMIT, format_exact, parse_exact, write_json
 
@@ -35,15 +36,6 @@ _RATIONAL_SYNTAX = re.compile(rf"{_INT_SYNTAX.pattern}(/[0-9]+)?")
 # call time, so one patched after import (a test double, a tracer) runs.
 _SERIES = {"euler": "euler_product", "G": "series_g", "H": "series_h"}
 
-# Largest eq2 and eq3 --order N, p(modulus N + residue) <= PARTITION_LIMIT for their
-# sum; series --order builds the same G and H as eq3, so it shares eq3's cap.
-_EQ2_MAX_ORDER, _EQ3_MAX_ORDER = ((PARTITION_LIMIT - r) // m for m, r, _ in (SUM_5K4, SUM_7N5))
-
-# Largest theorem --max-n: n! p(7n+5) has 4298 digits at n = 1523 and 4302
-# at 1524, so the cap keeps report values within DIGIT_LIMIT, as bell's are.
-# Every other report value has under 500 digits.
-_THEOREM_MAX_N = 1523
-
 # Largest bell n, and largest n^2 u, u a bound of max(bits(b), bits(y_i) / i)
 # over the nonzero x_i: the kernel multiplies y_i = b^i x_i, b the lcm of the
 # denominators.  u = 16 at n = 1000 runs up to about 19 s.  n is capped too:
@@ -52,19 +44,28 @@ _THEOREM_MAX_N = 1523
 _BELL_MAX_N = 1000
 _BELL_MAX_WORK = 16_000_000
 
-# verify targets in `verify all` order: name, help, size flag, its smallest
-# (the report's own), default (under `verify all`) and largest value, and the
-# report it runs on that size.  Past the theorem, each cap keeps the largest
-# p(m * size + r) that the report reads within PARTITION_LIMIT.
+
+def _order_cap(target: RamanujanSum) -> int:
+    """Largest --order N with p(modulus N + residue) <= PARTITION_LIMIT for a sum."""
+    return (PARTITION_LIMIT - target.residue) // target.modulus
+
+
+# verify targets in `verify all` order, default the size under `verify all`.  A target with
+# a sum runs the residue-class report of qbell.series on its side, whose smallest size is 1
+# on the Bell side and 0 on the product side.  The theorem's cap is the Bell side's digit
+# rule, a literal since computing it fills p(10666): n! p(7n+5) has 4298 digits at n = 1523
+# and 4302 at 1524.  Every other report value has under 500 digits, and each other cap keeps
+# the largest p(m * size + r) read within PARTITION_LIMIT.
+_Target = namedtuple("_Target", "name help label sum side flag default cap")
 _VERIFY_TARGETS = (
-    ("theorem", "Bell-polynomial identity for n! p(7n+5)", "--max-n", 1, 64,
-     _THEOREM_MAX_N, lambda size: identity.verify_theorem(size)),
-    ("eq2", "series identity for p(5k+4)", "--order", 0, 200,
-     _EQ2_MAX_ORDER, lambda size: series.verify_p5k4_identity(size)),
-    ("eq3", "series identity for p(7n+5)", "--order", 0, 200,
-     _EQ3_MAX_ORDER, lambda size: series.verify_p7n5_identity(size)),
-    ("congruences", "p(5k+4), p(7k+5), p(11k+6) divisibility", "--max-k", 0, 1000,
-     (PARTITION_LIMIT - 6) // 11, lambda size: identity.verify_congruences(size)),
+    _Target("theorem", "Bell-polynomial identity for n! p(7n+5)", "bell-identity",
+            SUM_7N5, "bell", "--max-n", 64, 1523),
+    _Target("eq2", "series identity for p(5k+4)", "p5k4-series",
+            SUM_5K4, "product", "--order", 200, _order_cap(SUM_5K4)),
+    _Target("eq3", "series identity for p(7n+5)", "p7n5-series",
+            SUM_7N5, "product", "--order", 200, _order_cap(SUM_7N5)),
+    _Target("congruences", "p(5k+4), p(7k+5), p(11k+6) divisibility", None,
+            None, None, "--max-k", 1000, (PARTITION_LIMIT - 6) // 11),
 )
 
 
@@ -123,16 +124,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("which", choices=tuple(_SERIES))
     p.add_argument("--order", type=_parse_int, required=True)
-    p.set_defaults(run=_cmd_series, bounds=[("series --order", "order", None, _EQ3_MAX_ORDER)])
+    # the same G and H as verify eq3, so the same cap
+    p.set_defaults(run=_cmd_series, bounds=[("series --order", "order", None, _order_cap(SUM_7N5))])
 
     v = sub.add_parser("verify", help="run a verification report (JSON on stdout)")
     vsub = v.add_subparsers(dest="target", required=True)
-    for target in _VERIFY_TARGETS:  # name, help, flag first
-        p = vsub.add_parser(target[0], help=target[1])
-        p.add_argument(target[2], type=_parse_int, required=True)
+    for target in _VERIFY_TARGETS:
+        p = vsub.add_parser(target.name, help=target.help)
+        p.add_argument(target.flag, type=_parse_int, required=True)
         _declare_verify(p, [target])
     p = vsub.add_parser("all", help="every verification at full scale")
-    for flag, default in {flag: default for _, _, flag, _, default, *_ in _VERIFY_TARGETS}.items():
+    for flag, default in {target.flag: target.default for target in _VERIFY_TARGETS}.items():
         p.add_argument(flag, type=_parse_int, default=default)
     _declare_verify(p, _VERIFY_TARGETS)
 
@@ -140,9 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _declare_verify(p: argparse.ArgumentParser, targets) -> None:
-    bounds = [(f"verify {name} {flag}", flag[2:].replace("-", "_"), low, cap)
-              for name, _, flag, low, _, cap, _ in targets]
-    p.set_defaults(run=_cmd_verify, checks=[target[-1] for target in targets], bounds=bounds)
+    bounds = [(f"verify {t.name} {t.flag}", t.flag[2:].replace("-", "_"), int(t.side == "bell"),
+               t.cap) for t in targets]
+    p.set_defaults(run=_cmd_verify, targets=targets, bounds=bounds)
 
 
 def _cmd_coeff(args: argparse.Namespace) -> None:
@@ -181,9 +183,13 @@ def _cmd_series(args: argparse.Namespace) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # one bound row per check, in the same order
+    # one bound row per target, in the same order
     sizes = [getattr(args, dest) for _, dest, _, _ in args.bounds]
-    reports = [check(size) for check, size in zip(args.checks, sizes)]
+    reports = [
+        series.residue_class_report(t.label, t.sum, t.side, size) if t.sum
+        else identity.verify_congruences(size)
+        for t, size in zip(args.targets, sizes)
+    ]
     write_json(reports if args.target == "all" else reports[0], sys.stdout)
     print()
     return 0 if all(report.overall_pass for report in reports) else 1

@@ -122,8 +122,8 @@ def sigma_ratio(n: int) -> Fraction:
 
 
 # Rows scale x^shift E(x^r)^a / E(x)^b, E(x) = (x;x)_inf; Ramanujan's sum of p(modulus n
-# + residue) x^n is the sum of its rows.  qbell.series checks the sums, and qbell.identity
-# reads SUM_7N5.  By ln E(x) = -sum sigma(n) x^n / n, ln(row / (scale x^shift)) = sum c_n x^n
+# + residue) x^n is the sum of its rows.  qbell.series checks each sum, from its rows or from
+# their weights.  By ln E(x) = -sum sigma(n) x^n / n, ln(row / (scale x^shift)) = sum c_n x^n
 # with weights n c_n = b sigma(n) - a r sigma(n/r), the second term only when r | n.
 EtaQuotient = namedtuple("EtaQuotient", "scale shift r a b")
 G = EtaQuotient(7, 0, 7, 3, 4)

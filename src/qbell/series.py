@@ -11,10 +11,11 @@ it returns.  Values are immutable, so concurrent use needs no coordination.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, count, repeat
 from operator import mul
 from typing import Iterable
 
-from .numtheory import SUM_5K4, SUM_7N5, EtaQuotient, G, H, RamanujanSum
+from .numtheory import SUM_5K4, SUM_7N5, EtaQuotient, G, H, RamanujanSum, _weight
 from .partitions import partition_count, pentagonal_numbers
 from .reports import VerificationReport, format_exact
 
@@ -234,7 +235,7 @@ class TruncatedSeries:
     def exp(self) -> TruncatedSeries:
         """exp(self), requiring constant term 0: n E_n = sum_{i=1..n} (i c_i) E_{n-i}.
 
-        The kernel of the theorem's left side in :mod:`qbell.identity`.
+        The kernel of the Bell side of ``residue_class_report``.
         """
         c = self._coeffs
         if c[0] != 0:
@@ -303,28 +304,54 @@ def extract_log_coefficients(row: EtaQuotient, order: int) -> list[int | Fractio
 # -- coefficient-level verification ----------------------------------------
 
 
-def _residue_class_report(label: str, target: RamanujanSum, order: int) -> VerificationReport:
-    """Check coefficient n of the sum of the target's rows against p(modulus n + residue)."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
+def _bell_row(row: EtaQuotient, order: int) -> TruncatedSeries:
+    """The same row from its weights i c_i = _weight(i, row): scale x^shift exp(sum c_i x^i).
+
+    exp runs over ints for a true row; a wrong weight that is not an int
+    carries on as a ``Fraction``, not an error.  The monomial is the left
+    factor, as ``__mul__`` loops over the left factor's nonzero terms.
+    """
+    logs = TruncatedSeries([0, *(Fraction(_weight(i, row), i) for i in range(1, order + 1))])
+    return TruncatedSeries.monomial(row.shift, order, row.scale) * logs.exp()
+
+
+def residue_class_report(
+    label: str, target: RamanujanSum, side: str, size: int
+) -> VerificationReport:
+    """Check coefficient n of the target's sum against p(modulus n + residue).
+
+    The "product" side builds each row as its eta quotient and checks
+    0 <= n <= size.  The "bell" side builds each row by ``_bell_row`` and
+    checks n! times both values for 1 <= n <= size: by the exponential
+    formula, n! [x^n] of a row is scale (n!/(n-shift)!) B_(n-shift)(1! c_1,
+    2! c_2, ...), so for SUM_7N5 this is the theorem of :mod:`qbell.identity`.
+    The size is checked, then p(modulus size + residue) is read, which
+    checks its bound and fills the table, before any series is built.
+    """
+    bell = side == "bell"
+    first = 1 if bell else 0
+    if size < first:
+        raise ValueError("max_n must be >= 1" if bell else "order must be >= 0")
     modulus, residue, eta_rows = target
-    partition_count(modulus * order + residue)  # the bound and a one-time fill, before the build
-    built = sum((_eta_quotient(row, order) for row in eta_rows), TruncatedSeries.zero(order))
+    partition_count(modulus * size + residue)  # the bound and a one-time fill, before the build
+    build = _bell_row if bell else _eta_quotient  # looked up per call, so a patched builder runs
+    built = sum((build(row, size) for row in eta_rows), TruncatedSeries.zero(size))
+    scales = accumulate(range(1, size + 1), mul) if bell else repeat(1)  # n! on the Bell side
     rows = (
-        (n, computed, partition_count(modulus * n + residue))
-        for n, computed in enumerate(built.coefficients)
+        (n, scale * computed, scale * partition_count(modulus * n + residue))
+        for n, computed, scale in zip(count(first), built.coefficients[first:], scales)
     )
     return VerificationReport.from_rows(label, rows)
 
 
 def verify_p7n5_identity(order: int) -> VerificationReport:
     """Check that coefficient n of G + H equals p(7n+5) for 0 <= n <= order."""
-    return _residue_class_report("p7n5-series", SUM_7N5, order)
+    return residue_class_report("p7n5-series", SUM_7N5, "product", order)
 
 
 def verify_p5k4_identity(order: int) -> VerificationReport:
     """Check that coefficient k of 5 (x^5;x^5)_inf^5 / (x;x)_inf^6 equals p(5k+4)."""
-    return _residue_class_report("p5k4-series", SUM_5K4, order)
+    return residue_class_report("p5k4-series", SUM_5K4, "product", order)
 
 
 def coefficient_lines(series: TruncatedSeries) -> list[str]:

@@ -152,6 +152,31 @@ def test_verify_output_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["verify", "--help"],
+         "cb897d571d3e5da1266911f9ca0c9c9b3e6f6ae678ac0720c1c614d487a973ae"),
+        (["verify", "all", "--help"],
+         "6dfb8833578d0684b6cd91fbd62d3a105db79a217e726b9280b232d441b83395"),
+        (["verify", "theorem", "--help"],
+         "6ae559a342c62c51d6e7ebf507b34808dfa49c4f30d96978211d57980cbb3851"),
+        (["verify", "eq2", "--help"],
+         "a766549012fff74476a8b8c2c4364d55f9a618b90f8f6016e193ec534eff1793"),
+        (["verify", "eq3", "--help"],
+         "cdbcbc15f7d69e7c9db77b731aa16e037bafbc0ed6092a324bed7c23b06066a7"),
+        (["verify", "congruences", "--help"],
+         "23ced2bca04210aa5bc681947ec42d23ca9417470697aed0b127a276ebd3c02a"),
+    ],
+)
+def test_verify_help_bytes_are_pinned(capsys, monkeypatch, argv, digest):
+    # the verify subparsers are built from the target rows; argparse wraps at COLUMNS - 2
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_all_emits_array(capsys):
     code, out, _ = run_cli(capsys, ["verify", "all"])
     assert code == 0
@@ -250,6 +275,10 @@ def test_precondition_errors_exit_three(capsys, argv):
     assert elapsed < 1.0  # refused before any work
 
 
+# the target name of each label that the shared residue-class report is given
+_TARGET_OF_LABEL = {"bell-identity": "theorem", "p5k4-series": "eq2", "p7n5-series": "eq3"}
+
+
 @pytest.fixture
 def stub_reports(monkeypatch):
     """Replace every verify report by a stub; returns the (target, size) calls."""
@@ -264,9 +293,10 @@ def stub_reports(monkeypatch):
 
         return report
 
-    monkeypatch.setattr(cli.identity, "verify_theorem", stub("theorem"))
-    monkeypatch.setattr(cli.series, "verify_p5k4_identity", stub("eq2"))
-    monkeypatch.setattr(cli.series, "verify_p7n5_identity", stub("eq3"))
+    def shared(label, target, side, size):
+        return stub(_TARGET_OF_LABEL[label])(size)
+
+    monkeypatch.setattr(cli.series, "residue_class_report", shared)
     monkeypatch.setattr(cli.identity, "verify_congruences", stub("congruences"))
     return ran
 
@@ -298,12 +328,12 @@ def test_verify_caps_are_checked_before_any_report(capsys, stub_reports, argv, c
         (["verify", "eq3", "--order", "-1"], verify_p7n5_identity, -1),
     ],
 )
-def test_verify_lower_bounds_are_checked_before_any_report(
-    capsys, stub_reports, argv, report, size
-):
-    # the front end refuses the size with the message the report itself raises
+def test_verify_lower_bounds_are_checked_before_any_report(capsys, request, argv, report, size):
+    # the front end refuses the size with the message the report itself raises,
+    # taken before the stubs replace the shared report that the library reports call
     with pytest.raises(ValueError) as raised:
         report(size)
+    stub_reports = request.getfixturevalue("stub_reports")
     assert run_cli(capsys, argv) == (3, "", f"error: {raised.value}\n")
     assert stub_reports == []
 
@@ -312,7 +342,12 @@ def test_verify_all_exits_1_when_any_one_report_fails(capsys, monkeypatch, stub_
     from qbell.reports import VerificationReport
 
     failing = VerificationReport.from_rows("eq2", [(0, 1, 2)])
-    monkeypatch.setattr(cli.series, "verify_p5k4_identity", lambda size: failing)
+    stub = cli.series.residue_class_report
+
+    def eq2_fails(label, target, side, size):
+        return failing if label == "p5k4-series" else stub(label, target, side, size)
+
+    monkeypatch.setattr(cli.series, "residue_class_report", eq2_fails)
     code, out, err = run_cli(capsys, ["verify", "all"])
     assert (code, err) == (1, "")
     docs = json.loads(out)
@@ -339,7 +374,7 @@ def test_verify_runs_at_its_cap(capsys, stub_reports):
 def test_theorem_cap_is_the_last_printable_n():
     # The cap keeps n! p(7n+5) within qbell's digit bound; one step past it
     # the right side is past the bound.
-    cap = cli._THEOREM_MAX_N
+    (cap,) = [target.cap for target in cli._VERIFY_TARGETS if target.name == "theorem"]
     assert len(format_exact(theorem_rhs(cap))) <= DIGIT_LIMIT
     assert theorem_rhs(cap + 1) >= 10**DIGIT_LIMIT
 
@@ -445,13 +480,13 @@ def test_bell_work_bound_holds_without_the_digit_limit(capsys):
 def test_verification_failure_exits_one(capsys, monkeypatch):
     from qbell.reports import CheckEntry, VerificationReport
 
-    def broken(max_n):
+    def broken(label, target, side, max_n):
         return VerificationReport(
             label="bell-identity",
             entries=[CheckEntry(index=1, computed=1, expected=2, passed=False)],
         )
 
-    monkeypatch.setattr(cli.identity, "verify_theorem", broken)
+    monkeypatch.setattr(cli.series, "residue_class_report", broken)
     code, out, _ = run_cli(capsys, ["verify", "theorem", "--max-n", "1"])
     assert code == 1
     doc = json.loads(out)
@@ -487,6 +522,19 @@ def test_closed_stdout_ends_the_process_by_sigpipe():
     proc.stderr.close()
     assert proc.wait(timeout=60) == -signal.SIGPIPE
     assert err == b""
+
+
+def test_importing_the_front_end_does_no_work():
+    # no cap is computed at import: the partition table and the sigma cache stay empty
+    check = (
+        "import qbell.cli\n"
+        "from qbell import numtheory, partitions\n"
+        "print(len(partitions._table), numtheory.sigma.cache_info().currsize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", check], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "1 0\n"
 
 
 def test_module_invocation_usage_error():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import qbell.identity
+import qbell.series
 from qbell import cli, partitions
 from qbell.bell import complete_bell_sequence
 from qbell.identity import (
@@ -16,9 +17,9 @@ from qbell.identity import (
     verify_congruences,
     verify_theorem,
 )
-from qbell.numtheory import d_coefficient, e_coefficient, sigma
+from qbell.numtheory import G, P5K4, SUM_5K4, _weight, d_coefficient, e_coefficient, sigma
 from qbell.partitions import partition_count, partition_residues
-from qbell.series import series_g, series_h
+from qbell.series import residue_class_report, series_g, series_h
 
 
 @pytest.mark.parametrize("n, expected", [(1, 77), (2, 980), (3, 14616), (4, 243432), (5, 4480560)])
@@ -61,6 +62,25 @@ def test_exponential_formula_matches_the_bell_oracle():
     assert [theorem_lhs(n) for n in range(1, top + 1)] == expected
 
 
+def test_bell_side_of_the_p5k4_sum_is_driven_by_its_rows():
+    # n! p(5n+4) = 5 B_n(1! c_1, ..., n! c_n) with n c_n = 6 sigma(n) - 25 sigma(n/5),
+    # the weights of the P5K4 row, through the same code as the theorem and no target
+    top = 256
+    bells = complete_bell_sequence(top, _bell_args(lambda i: Fraction(_weight(i, P5K4), i), top))
+    report = residue_class_report("p5k4-bell", SUM_5K4, "bell", top)
+    assert report.overall_pass
+    assert [entry.index for entry in report.entries] == list(range(1, top + 1))
+    assert [entry.computed for entry in report.entries] == [5 * b for b in bells[1:]]
+
+
+def test_bell_side_of_the_p5k4_sum_fails_from_a_bumped_weight(monkeypatch):
+    monkeypatch.setattr(
+        qbell.series, "_weight", lambda i, row: _weight(i, row) + (i == 5 and row == P5K4)
+    )
+    report = residue_class_report("p5k4-bell", SUM_5K4, "bell", 40)
+    assert report.failures()[0].index == 5
+
+
 def test_bell_arguments_are_integers():
     # i! d_i and i! e_i from sigma alone, so the weights i d_i and i e_i of
     # the exponential formula are ints too.
@@ -99,14 +119,14 @@ def assert_cli_fails(argv, capsys):
 
 @pytest.mark.parametrize(
     "shift, lhs_denominator",
-    [(Fraction(1, 7), 1), (Fraction(1, 2 * math.factorial(7)), 2)],
+    [(Fraction(1), 1), (Fraction(1, 1440), 2)],
 )
 def test_theorem_report_fails_from_a_shifted_d7(monkeypatch, capsys, shift, lhs_denominator):
-    # 7! * (1/7) keeps the Bell argument an integer, so only lhs == rhs can
-    # fail; 7! / (2 * 7!) = 1/2 does not, so the kernel scales by b = 2 and
-    # the left side is no longer an integer.
+    # The G weight 7 d_7 shifted by 1 shifts d_7 by 1/7, and 7! * (1/7) keeps
+    # the Bell argument an integer, so only lhs == rhs can fail; shifted by
+    # 1/1440, d_7 moves by 1/(2 * 7!) and the left side is no longer an integer.
     monkeypatch.setattr(
-        qbell.identity, "d_coefficient", lambda i: d_coefficient(i) + shift * (i == 7)
+        qbell.series, "_weight", lambda i, row: _weight(i, row) + shift * (i == 7 and row == G)
     )
     report = verify_theorem(10)
     failure = report.failures()[0]
@@ -138,10 +158,10 @@ def test_verify_theorem_validation():
 
 @pytest.mark.parametrize("report, size", [(verify_theorem, 28571), (verify_congruences, 18182)])
 def test_reports_refuse_a_size_before_any_work(monkeypatch, report, size):
-    def unbuilt(_max_n):
-        raise AssertionError("built the left sides for a refused size")
+    def unbuilt(_row, _order):
+        raise AssertionError("built a Bell-side row for a refused size")
 
-    monkeypatch.setattr(qbell.identity, "_left_sides", unbuilt)
+    monkeypatch.setattr(qbell.series, "_bell_row", unbuilt)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="capped"):
         report(size)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import int_max_str_digits
 
-from qbell import cli
+from qbell import cli, series
 from qbell.identity import verify_congruences
 from qbell.reports import DIGIT_LIMIT, VerificationReport, format_exact, parse_exact, write_json
 
@@ -35,7 +35,11 @@ def _oracle(payload) -> str:
 
 def test_writer_matches_json_dumps_for_every_verify_target():
     # every verify target at its `verify all` default, in that order
-    reports = [check(default) for *_, default, _, check in cli._VERIFY_TARGETS]
+    reports = [
+        series.residue_class_report(t.label, t.sum, t.side, t.default) if t.sum
+        else verify_congruences(t.default)
+        for t in cli._VERIFY_TARGETS
+    ]
     assert [report.label for report in reports] == [
         "bell-identity", "p5k4-series", "p7n5-series", "ramanujan-congruences",
     ]

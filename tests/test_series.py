@@ -13,7 +13,7 @@ import qbell.identity
 import qbell.series
 from qbell import cli
 from qbell.numtheory import (
-    G, H, P5K4, SUM_5K4, SUM_7N5, _weight, d_coefficient, e_coefficient, sigma,
+    G, H, P5K4, SUM_5K4, SUM_7N5, _weight, sigma,
 )
 from qbell.partitions import partition_count
 from qbell.series import (
@@ -444,10 +444,7 @@ def test_named_series_run_over_ints():
     order = 200
     named = [euler_product(order), series_g(order), series_h(order)]
     eq2 = [entry.computed for entry in verify_p5k4_identity(order).entries]
-    theorem = [
-        qbell.identity._exp_formula(order, d_coefficient),
-        qbell.identity._exp_formula(order - 1, e_coefficient),
-    ]
+    theorem = [qbell.series._bell_row(row, order).coefficients for row in SUM_7N5.rows]
     reports = [qbell.identity.verify_theorem(order), qbell.identity.verify_congruences(order)]
     sides = [value for r in reports for e in r.entries for value in (e.computed, e.expected)]
     for values in [*(s.coefficients for s in named), eq2, *theorem, sides]:
