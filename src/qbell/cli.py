@@ -23,7 +23,7 @@ from math import lcm
 
 from . import identity, series
 from .bell import complete_bell
-from .numtheory import SUM_5K4, SUM_7N5, RamanujanSum, d_coefficient, e_coefficient, sigma
+from .numtheory import d_coefficient, e_coefficient, sigma
 from .partitions import PARTITION_LIMIT, partition_count
 from .reports import DIGIT_LIMIT, format_exact, parse_exact, write_json
 
@@ -45,27 +45,27 @@ _BELL_MAX_N = 1000
 _BELL_MAX_WORK = 16_000_000
 
 
-def _order_cap(target: RamanujanSum) -> int:
-    """Largest --order N with p(modulus N + residue) <= PARTITION_LIMIT for a sum."""
-    return (PARTITION_LIMIT - target.residue) // target.modulus
+def _order_cap(modulus: int, residue: int) -> int:
+    """Largest size N with p(modulus N + residue) <= PARTITION_LIMIT."""
+    return (PARTITION_LIMIT - residue) // modulus
 
 
-# verify targets in `verify all` order, default the size under `verify all`.  A target with
-# a sum runs the residue-class report of qbell.series on its side, whose smallest size is 1
-# on the Bell side and 0 on the product side.  The theorem's cap is the Bell side's digit
-# rule, a literal since computing it fills p(10666): n! p(7n+5) has 4298 digits at n = 1523
-# and 4302 at 1524.  Every other report value has under 500 digits, and each other cap keeps
-# the largest p(m * size + r) read within PARTITION_LIMIT.
-_Target = namedtuple("_Target", "name help label sum side flag default cap")
+# verify targets in `verify all` order, default the size under `verify all`.  A check is a
+# row of qbell.series run by its residue-class report, smallest size 1 on the Bell side and 0
+# on the product side.  The theorem's cap is the Bell side's digit rule, a literal since
+# computing it fills p(10666): n! p(7n+5) has 4298 digits at n = 1523 and 4302 at 1524.  Every
+# other value has under 500 digits, and each other cap is _order_cap of the check's sum or,
+# for congruences, the least over its families, the (11, 6) family's.
+_Target = namedtuple("_Target", "name help check flag default cap")
 _VERIFY_TARGETS = (
-    _Target("theorem", "Bell-polynomial identity for n! p(7n+5)", "bell-identity",
-            SUM_7N5, "bell", "--max-n", 64, 1523),
-    _Target("eq2", "series identity for p(5k+4)", "p5k4-series",
-            SUM_5K4, "product", "--order", 200, _order_cap(SUM_5K4)),
-    _Target("eq3", "series identity for p(7n+5)", "p7n5-series",
-            SUM_7N5, "product", "--order", 200, _order_cap(SUM_7N5)),
+    _Target("theorem", "Bell-polynomial identity for n! p(7n+5)", series.BELL_IDENTITY,
+            "--max-n", 64, 1523),
+    _Target("eq2", "series identity for p(5k+4)", series.P5K4_SERIES,
+            "--order", 200, _order_cap(*series.P5K4_SERIES.sum[:2])),
+    _Target("eq3", "series identity for p(7n+5)", series.P7N5_SERIES,
+            "--order", 200, _order_cap(*series.P7N5_SERIES.sum[:2])),
     _Target("congruences", "p(5k+4), p(7k+5), p(11k+6) divisibility", None,
-            None, None, "--max-k", 1000, (PARTITION_LIMIT - 6) // 11),
+            "--max-k", 1000, min(_order_cap(*family) for family in identity._CONGRUENCE_FAMILIES)),
 )
 
 
@@ -125,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=tuple(_SERIES))
     p.add_argument("--order", type=_parse_int, required=True)
     # the same G and H as verify eq3, so the same cap
-    p.set_defaults(run=_cmd_series, bounds=[("series --order", "order", None, _order_cap(SUM_7N5))])
+    cap = _order_cap(*series.P7N5_SERIES.sum[:2])
+    p.set_defaults(run=_cmd_series, bounds=[("series --order", "order", None, cap)])
 
     v = sub.add_parser("verify", help="run a verification report (JSON on stdout)")
     vsub = v.add_subparsers(dest="target", required=True)
@@ -142,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _declare_verify(p: argparse.ArgumentParser, targets) -> None:
-    bounds = [(f"verify {t.name} {t.flag}", t.flag[2:].replace("-", "_"), int(t.side == "bell"),
-               t.cap) for t in targets]
+    bounds = [(f"verify {t.name} {t.flag}", t.flag[2:].replace("-", "_"),
+               int(t.check is not None and t.check.side == "bell"), t.cap) for t in targets]
     p.set_defaults(run=_cmd_verify, targets=targets, bounds=bounds)
 
 
@@ -186,7 +187,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # one bound row per target, in the same order
     sizes = [getattr(args, dest) for _, dest, _, _ in args.bounds]
     reports = [
-        series.residue_class_report(t.label, t.sum, t.side, size) if t.sum
+        series.residue_class_report(t.check, size) if t.check
         else identity.verify_congruences(size)
         for t, size in zip(args.targets, sizes)
     ]

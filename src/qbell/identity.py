@@ -7,8 +7,8 @@ For n >= 1, with d and e the coefficient sequences from
         = n! p(7n + 5).
 
 The left side is the Bell side of :func:`qbell.series.residue_class_report`
-for the sum ``SUM_7N5`` = G + H of :mod:`qbell.numtheory`.  By the
-exponential formula (Comtet, *Advanced Combinatorics*, 1974, 3.3),
+for the sum G + H, the check row ``BELL_IDENTITY`` of :mod:`qbell.series`.
+By the exponential formula (Comtet, *Advanced Combinatorics*, 1974, 3.3),
 
     B_n(1! y_1, ..., n! y_n) = n! a_n,  sum_n a_n t^n = exp(sum_i y_i t^i),
 
@@ -31,7 +31,7 @@ from math import factorial, prod
 from .numtheory import SUM_7N5
 from .partitions import partition_count, partition_residues
 from .reports import VerificationReport
-from .series import residue_class_report
+from .series import BELL_IDENTITY, residue_class_report
 
 __all__ = [
     "theorem_lhs",
@@ -66,7 +66,7 @@ def verify_theorem(max_n: int) -> VerificationReport:
     integer; both sides are carried verbatim in the report so any failure
     is diagnosable without re-running.
     """
-    return residue_class_report("bell-identity", SUM_7N5, "bell", max_n)
+    return residue_class_report(BELL_IDENTITY, max_n)
 
 
 _CONGRUENCE_FAMILIES = ((5, 4), (7, 5), (11, 6))

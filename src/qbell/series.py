@@ -10,12 +10,13 @@ it returns.  Values are immutable, so concurrent use needs no coordination.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, count, repeat
 from operator import mul
 from typing import Iterable
 
-from .numtheory import SUM_5K4, SUM_7N5, EtaQuotient, G, H, RamanujanSum, _weight
+from .numtheory import SUM_5K4, SUM_7N5, EtaQuotient, G, H, _weight
 from .partitions import partition_count, pentagonal_numbers
 from .reports import VerificationReport, format_exact
 
@@ -315,24 +316,31 @@ def _bell_row(row: EtaQuotient, order: int) -> TruncatedSeries:
     return TruncatedSeries.monomial(row.shift, order, row.scale) * logs.exp()
 
 
-def residue_class_report(
-    label: str, target: RamanujanSum, side: str, size: int
-) -> VerificationReport:
-    """Check coefficient n of the target's sum against p(modulus n + residue).
+# Each check's label, sum and side, written once: the theorem, eq2 and eq3 (verify reads these)
+ResidueCheck = namedtuple("ResidueCheck", "label sum side")
+BELL_IDENTITY = ResidueCheck("bell-identity", SUM_7N5, "bell")
+P5K4_SERIES = ResidueCheck("p5k4-series", SUM_5K4, "product")
+P7N5_SERIES = ResidueCheck("p7n5-series", SUM_7N5, "product")
+
+
+def residue_class_report(check: ResidueCheck, size: int) -> VerificationReport:
+    """Check coefficient n of the check's sum against p(modulus n + residue).
 
     The "product" side builds each row as its eta quotient and checks
     0 <= n <= size.  The "bell" side builds each row by ``_bell_row`` and
     checks n! times both values for 1 <= n <= size: by the exponential
     formula, n! [x^n] of a row is scale (n!/(n-shift)!) B_(n-shift)(1! c_1,
-    2! c_2, ...), so for SUM_7N5 this is the theorem of :mod:`qbell.identity`.
-    The size is checked, then p(modulus size + residue) is read, which
-    checks its bound and fills the table, before any series is built.
+    2! c_2, ...), so ``BELL_IDENTITY`` is the theorem of :mod:`qbell.identity`.
+    The side and the size are checked, then p(modulus size + residue) is read,
+    which checks its bound and fills the table, before any series is built.
     """
-    bell = side == "bell"
+    if check.side not in ("bell", "product"):
+        raise ValueError(f"side must be 'bell' or 'product', not {check.side!r}")
+    bell = check.side == "bell"
     first = 1 if bell else 0
     if size < first:
         raise ValueError("max_n must be >= 1" if bell else "order must be >= 0")
-    modulus, residue, eta_rows = target
+    modulus, residue, eta_rows = check.sum
     partition_count(modulus * size + residue)  # the bound and a one-time fill, before the build
     build = _bell_row if bell else _eta_quotient  # looked up per call, so a patched builder runs
     built = sum((build(row, size) for row in eta_rows), TruncatedSeries.zero(size))
@@ -341,17 +349,17 @@ def residue_class_report(
         (n, scale * computed, scale * partition_count(modulus * n + residue))
         for n, computed, scale in zip(count(first), built.coefficients[first:], scales)
     )
-    return VerificationReport.from_rows(label, rows)
+    return VerificationReport.from_rows(check.label, rows)
 
 
 def verify_p7n5_identity(order: int) -> VerificationReport:
     """Check that coefficient n of G + H equals p(7n+5) for 0 <= n <= order."""
-    return residue_class_report("p7n5-series", SUM_7N5, "product", order)
+    return residue_class_report(P7N5_SERIES, order)
 
 
 def verify_p5k4_identity(order: int) -> VerificationReport:
     """Check that coefficient k of 5 (x^5;x^5)_inf^5 / (x;x)_inf^6 equals p(5k+4)."""
-    return residue_class_report("p5k4-series", SUM_5K4, "product", order)
+    return residue_class_report(P5K4_SERIES, order)
 
 
 def coefficient_lines(series: TruncatedSeries) -> list[str]:

@@ -1,6 +1,7 @@
 """Command line behaviour: output formats, JSON reports, exit codes."""
 
 import hashlib
+import io
 import json
 import signal
 import subprocess
@@ -14,7 +15,7 @@ from conftest import int_max_str_digits
 
 from qbell import cli
 from qbell.identity import theorem_rhs, verify_congruences, verify_theorem
-from qbell.reports import DIGIT_LIMIT, format_exact
+from qbell.reports import DIGIT_LIMIT, format_exact, write_json
 from qbell.series import verify_p5k4_identity, verify_p7n5_identity
 
 
@@ -191,6 +192,24 @@ def test_verify_all_emits_array(capsys):
     assert all(doc["overallPass"] for doc in docs)
 
 
+# the library entry point of each verify target
+_LIBRARY_REPORTS = {
+    "theorem": verify_theorem,
+    "eq2": verify_p5k4_identity,
+    "eq3": verify_p7n5_identity,
+    "congruences": verify_congruences,
+}
+
+
+@pytest.mark.parametrize("target", cli._VERIFY_TARGETS, ids=lambda target: target.name)
+def test_library_reports_print_as_their_verify_targets(capsys, target):
+    # the library function and the front end's row give the same bytes at the row's default
+    library = io.StringIO()
+    write_json(_LIBRARY_REPORTS[target.name](target.default), library)
+    argv = ["verify", target.name, target.flag, str(target.default)]
+    assert run_cli(capsys, argv) == (0, library.getvalue() + "\n", "")
+
+
 def test_verify_output_is_deterministic(capsys):
     first = run_cli(capsys, ["verify", "theorem", "--max-n", "4"])
     second = run_cli(capsys, ["verify", "theorem", "--max-n", "4"])
@@ -275,10 +294,6 @@ def test_precondition_errors_exit_three(capsys, argv):
     assert elapsed < 1.0  # refused before any work
 
 
-# the target name of each label that the shared residue-class report is given
-_TARGET_OF_LABEL = {"bell-identity": "theorem", "p5k4-series": "eq2", "p7n5-series": "eq3"}
-
-
 @pytest.fixture
 def stub_reports(monkeypatch):
     """Replace every verify report by a stub; returns the (target, size) calls."""
@@ -293,8 +308,11 @@ def stub_reports(monkeypatch):
 
         return report
 
-    def shared(label, target, side, size):
-        return stub(_TARGET_OF_LABEL[label])(size)
+    # the target name of each check row that the shared residue-class report is given
+    name_of = {target.check: target.name for target in cli._VERIFY_TARGETS if target.check}
+
+    def shared(check, size):
+        return stub(name_of[check])(size)
 
     monkeypatch.setattr(cli.series, "residue_class_report", shared)
     monkeypatch.setattr(cli.identity, "verify_congruences", stub("congruences"))
@@ -344,8 +362,8 @@ def test_verify_all_exits_1_when_any_one_report_fails(capsys, monkeypatch, stub_
     failing = VerificationReport.from_rows("eq2", [(0, 1, 2)])
     stub = cli.series.residue_class_report
 
-    def eq2_fails(label, target, side, size):
-        return failing if label == "p5k4-series" else stub(label, target, side, size)
+    def eq2_fails(check, size):
+        return failing if check.label == "p5k4-series" else stub(check, size)
 
     monkeypatch.setattr(cli.series, "residue_class_report", eq2_fails)
     code, out, err = run_cli(capsys, ["verify", "all"])
@@ -480,7 +498,7 @@ def test_bell_work_bound_holds_without_the_digit_limit(capsys):
 def test_verification_failure_exits_one(capsys, monkeypatch):
     from qbell.reports import CheckEntry, VerificationReport
 
-    def broken(label, target, side, max_n):
+    def broken(check, max_n):
         return VerificationReport(
             label="bell-identity",
             entries=[CheckEntry(index=1, computed=1, expected=2, passed=False)],

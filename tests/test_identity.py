@@ -19,7 +19,7 @@ from qbell.identity import (
 )
 from qbell.numtheory import G, P5K4, SUM_5K4, _weight, d_coefficient, e_coefficient, sigma
 from qbell.partitions import partition_count, partition_residues
-from qbell.series import residue_class_report, series_g, series_h
+from qbell.series import ResidueCheck, residue_class_report, series_g, series_h
 
 
 @pytest.mark.parametrize("n, expected", [(1, 77), (2, 980), (3, 14616), (4, 243432), (5, 4480560)])
@@ -67,7 +67,7 @@ def test_bell_side_of_the_p5k4_sum_is_driven_by_its_rows():
     # the weights of the P5K4 row, through the same code as the theorem and no target
     top = 256
     bells = complete_bell_sequence(top, _bell_args(lambda i: Fraction(_weight(i, P5K4), i), top))
-    report = residue_class_report("p5k4-bell", SUM_5K4, "bell", top)
+    report = residue_class_report(ResidueCheck("p5k4-bell", SUM_5K4, "bell"), top)
     assert report.overall_pass
     assert [entry.index for entry in report.entries] == list(range(1, top + 1))
     assert [entry.computed for entry in report.entries] == [5 * b for b in bells[1:]]
@@ -77,7 +77,7 @@ def test_bell_side_of_the_p5k4_sum_fails_from_a_bumped_weight(monkeypatch):
     monkeypatch.setattr(
         qbell.series, "_weight", lambda i, row: _weight(i, row) + (i == 5 and row == P5K4)
     )
-    report = residue_class_report("p5k4-bell", SUM_5K4, "bell", 40)
+    report = residue_class_report(ResidueCheck("p5k4-bell", SUM_5K4, "bell"), 40)
     assert report.failures()[0].index == 5
 
 

@@ -36,7 +36,7 @@ def _oracle(payload) -> str:
 def test_writer_matches_json_dumps_for_every_verify_target():
     # every verify target at its `verify all` default, in that order
     reports = [
-        series.residue_class_report(t.label, t.sum, t.side, t.default) if t.sum
+        series.residue_class_report(t.check, t.default) if t.check
         else verify_congruences(t.default)
         for t in cli._VERIFY_TARGETS
     ]

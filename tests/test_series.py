@@ -11,16 +11,18 @@ from hypothesis import strategies as st
 
 import qbell.identity
 import qbell.series
-from qbell import cli
+from qbell import cli, partitions
 from qbell.numtheory import (
     G, H, P5K4, SUM_5K4, SUM_7N5, _weight, sigma,
 )
 from qbell.partitions import partition_count
 from qbell.series import (
+    ResidueCheck,
     TruncatedSeries,
     coefficient_lines,
     euler_product,
     extract_log_coefficients,
+    residue_class_report,
     series_g,
     series_h,
     verify_p5k4_identity,
@@ -366,6 +368,22 @@ def test_series_reports_refuse_a_size_before_building_a_series(
     with pytest.raises(ValueError, match=message):
         report(order)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("side", ["Bell", "products", ""])
+def test_residue_class_report_refuses_an_unknown_side(monkeypatch, side):
+    # a mistyped side is refused, not run as the product side, before the table fills
+    def unbuilt(row, order):
+        raise AssertionError("built a series for an unknown side")
+
+    monkeypatch.setattr(qbell.series, "_eta_quotient", unbuilt)
+    monkeypatch.setattr(qbell.series, "_bell_row", unbuilt)
+    monkeypatch.setattr(partitions, "_table", [1])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="side must be 'bell' or 'product'"):
+        residue_class_report(ResidueCheck("p5k4-bell", SUM_5K4, side), 40)
+    assert time.perf_counter() - start < 1.0
+    assert partitions._table == [1]
 
 
 def assert_fails_only_at(report, index, capsys, argv):
