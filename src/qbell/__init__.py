@@ -6,74 +6,15 @@ Bell polynomials evaluated at divisor-sum data, and every claimed equality is
 checked entry by entry with exact comparisons.
 """
 
-from qbell.bell import (
-    ENUMERATION_LIMIT,
-    complete_bell,
-    complete_bell_sequence,
-    partial_bell,
-    partial_bell_by_enumeration,
-)
-from qbell.identity import (
-    theorem_lhs,
-    theorem_rhs,
-    verify_congruences,
-    verify_theorem,
-)
-from qbell.numtheory import (
-    SevenAdicSplit,
-    d_coefficient,
-    e_coefficient,
-    seven_adic_split,
-    sigma,
-    sigma_ratio,
-)
-from qbell.partitions import (
-    BRUTE_LIMIT,
-    partition_count,
-    partition_count_brute,
-)
-from qbell.reports import CheckEntry, VerificationReport, format_exact
-from qbell.series import (
-    TruncatedSeries,
-    coefficient_lines,
-    euler_product,
-    extract_log_coefficients,
-    series_g,
-    series_h,
-    verify_p5k4_identity,
-    verify_p7n5_identity,
-)
+from qbell.bell import *
+from qbell.identity import *
+from qbell.numtheory import *
+from qbell.partitions import *
+from qbell.reports import *
+from qbell.series import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BRUTE_LIMIT",
-    "CheckEntry",
-    "ENUMERATION_LIMIT",
-    "SevenAdicSplit",
-    "TruncatedSeries",
-    "VerificationReport",
-    "coefficient_lines",
-    "complete_bell",
-    "complete_bell_sequence",
-    "d_coefficient",
-    "e_coefficient",
-    "euler_product",
-    "extract_log_coefficients",
-    "format_exact",
-    "partial_bell",
-    "partial_bell_by_enumeration",
-    "partition_count",
-    "partition_count_brute",
-    "series_g",
-    "series_h",
-    "seven_adic_split",
-    "sigma",
-    "sigma_ratio",
-    "theorem_lhs",
-    "theorem_rhs",
-    "verify_congruences",
-    "verify_p5k4_identity",
-    "verify_p7n5_identity",
-    "verify_theorem",
-]
+# The imports above bind each submodule's name here; a public name is listed once, in its module
+__all__ = [*bell.__all__, *identity.__all__, *numtheory.__all__, *partitions.__all__,
+           *reports.__all__, *series.__all__]

@@ -50,23 +50,25 @@ def _order_cap(modulus: int, residue: int) -> int:
     return (PARTITION_LIMIT - residue) // modulus
 
 
-# verify targets in `verify all` order, default the size under `verify all`.  A check is a
-# row of qbell.series run by its residue-class report, smallest size 1 on the Bell side and 0
-# on the product side.  The theorem's cap is the Bell side's digit rule, a literal since
-# computing it fills p(10666): n! p(7n+5) has 4298 digits at n = 1523 and 4302 at 1524.  Every
-# other value has under 500 digits, and each other cap is _order_cap of the check's sum or,
-# for congruences, the least over its families, the (11, 6) family's.
-_Target = namedtuple("_Target", "name help check flag default cap")
+# verify targets in `verify all` order.  A check is a row of qbell.series run by its
+# residue-class report, whose side's smallest size (qbell.series.SMALLEST_SIZE) is the row's
+# lower bound; the congruence sweep's is 0.  The theorem's cap is the Bell side's digit rule, a
+# literal since computing it fills p(10666): n! p(7n+5) has 4298 digits at n = 1523 and 4302 at
+# 1524.  Every other value has under 500 digits, and each other cap is _order_cap of the check's
+# sum or, for congruences, the least over its families, the (11, 6) family's.
+_Target = namedtuple("_Target", "name help check flag cap")
 _VERIFY_TARGETS = (
     _Target("theorem", "Bell-polynomial identity for n! p(7n+5)", series.BELL_IDENTITY,
-            "--max-n", 64, 1523),
+            "--max-n", 1523),
     _Target("eq2", "series identity for p(5k+4)", series.P5K4_SERIES,
-            "--order", 200, _order_cap(*series.P5K4_SERIES.sum[:2])),
+            "--order", _order_cap(*series.P5K4_SERIES.sum[:2])),
     _Target("eq3", "series identity for p(7n+5)", series.P7N5_SERIES,
-            "--order", 200, _order_cap(*series.P7N5_SERIES.sum[:2])),
+            "--order", _order_cap(*series.P7N5_SERIES.sum[:2])),
     _Target("congruences", "p(5k+4), p(7k+5), p(11k+6) divisibility", None,
-            "--max-k", 1000, min(_order_cap(*family) for family in identity._CONGRUENCE_FAMILIES)),
+            "--max-k", min(_order_cap(*family) for family in identity._CONGRUENCE_FAMILIES)),
 )
+# the size of each flag under `verify all`
+_VERIFY_ALL_SIZES = {"--max-n": 64, "--order": 200, "--max-k": 1000}
 
 
 def _parse_int(text: str) -> int:
@@ -135,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(target.flag, type=_parse_int, required=True)
         _declare_verify(p, [target])
     p = vsub.add_parser("all", help="every verification at full scale")
-    for flag, default in {target.flag: target.default for target in _VERIFY_TARGETS}.items():
-        p.add_argument(flag, type=_parse_int, default=default)
+    for flag, size in _VERIFY_ALL_SIZES.items():
+        p.add_argument(flag, type=_parse_int, default=size)
     _declare_verify(p, _VERIFY_TARGETS)
 
     return parser
@@ -144,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _declare_verify(p: argparse.ArgumentParser, targets) -> None:
     bounds = [(f"verify {t.name} {t.flag}", t.flag[2:].replace("-", "_"),
-               int(t.check is not None and t.check.side == "bell"), t.cap) for t in targets]
+               series.SMALLEST_SIZE[t.check.side] if t.check else 0, t.cap) for t in targets]
     p.set_defaults(run=_cmd_verify, targets=targets, bounds=bounds)
 
 

@@ -26,7 +26,7 @@ only and reads a local table of p(n) mod 385 from ``partition_residues``.
 """
 
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm
 
 from .numtheory import SUM_7N5
 from .partitions import partition_count, partition_residues
@@ -70,7 +70,7 @@ def verify_theorem(max_n: int) -> VerificationReport:
 
 
 _CONGRUENCE_FAMILIES = ((5, 4), (7, 5), (11, 6))
-_CONGRUENCE_MODULUS = prod(modulus for modulus, _ in _CONGRUENCE_FAMILIES)  # 385
+_CONGRUENCE_MODULUS = lcm(*(modulus for modulus, _ in _CONGRUENCE_FAMILIES))  # 385
 
 
 def verify_congruences(max_k: int) -> VerificationReport:

@@ -322,24 +322,27 @@ BELL_IDENTITY = ResidueCheck("bell-identity", SUM_7N5, "bell")
 P5K4_SERIES = ResidueCheck("p5k4-series", SUM_5K4, "product")
 P7N5_SERIES = ResidueCheck("p7n5-series", SUM_7N5, "product")
 
+# The smallest size each side checks, read by the report and by the front end's lower bounds
+SMALLEST_SIZE = {"bell": 1, "product": 0}
+
 
 def residue_class_report(check: ResidueCheck, size: int) -> VerificationReport:
     """Check coefficient n of the check's sum against p(modulus n + residue).
 
-    The "product" side builds each row as its eta quotient and checks
-    0 <= n <= size.  The "bell" side builds each row by ``_bell_row`` and
-    checks n! times both values for 1 <= n <= size: by the exponential
+    Each side checks SMALLEST_SIZE[side] <= n <= size.  The "product" side
+    builds each row as its eta quotient.  The "bell" side builds each row by
+    ``_bell_row`` and checks n! times both values: by the exponential
     formula, n! [x^n] of a row is scale (n!/(n-shift)!) B_(n-shift)(1! c_1,
     2! c_2, ...), so ``BELL_IDENTITY`` is the theorem of :mod:`qbell.identity`.
     The side and the size are checked, then p(modulus size + residue) is read,
     which checks its bound and fills the table, before any series is built.
     """
-    if check.side not in ("bell", "product"):
+    first = SMALLEST_SIZE.get(check.side)
+    if first is None:
         raise ValueError(f"side must be 'bell' or 'product', not {check.side!r}")
     bell = check.side == "bell"
-    first = 1 if bell else 0
     if size < first:
-        raise ValueError("max_n must be >= 1" if bell else "order must be >= 0")
+        raise ValueError(f"{'max_n' if bell else 'order'} must be >= {first}")
     modulus, residue, eta_rows = check.sum
     partition_count(modulus * size + residue)  # the bound and a one-time fill, before the build
     build = _bell_row if bell else _eta_quotient  # looked up per call, so a patched builder runs

@@ -8,13 +8,15 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from conftest import int_max_str_digits
 
 from qbell import cli
-from qbell.identity import theorem_rhs, verify_congruences, verify_theorem
+from qbell.identity import verify_congruences, verify_theorem
+from qbell.partitions import partition_count
 from qbell.reports import DIGIT_LIMIT, format_exact, write_json
 from qbell.series import verify_p5k4_identity, verify_p7n5_identity
 
@@ -203,10 +205,11 @@ _LIBRARY_REPORTS = {
 
 @pytest.mark.parametrize("target", cli._VERIFY_TARGETS, ids=lambda target: target.name)
 def test_library_reports_print_as_their_verify_targets(capsys, target):
-    # the library function and the front end's row give the same bytes at the row's default
+    # the library function and the front end's row give the same bytes at the `verify all` size
+    size = cli._VERIFY_ALL_SIZES[target.flag]
     library = io.StringIO()
-    write_json(_LIBRARY_REPORTS[target.name](target.default), library)
-    argv = ["verify", target.name, target.flag, str(target.default)]
+    write_json(_LIBRARY_REPORTS[target.name](size), library)
+    argv = ["verify", target.name, target.flag, str(size)]
     assert run_cli(capsys, argv) == (0, library.getvalue() + "\n", "")
 
 
@@ -374,6 +377,16 @@ def test_verify_all_exits_1_when_any_one_report_fails(capsys, monkeypatch, stub_
     ]
 
 
+def test_each_side_has_one_smallest_size(capsys, monkeypatch, stub_reports):
+    # the library's report and the front end's lower bound read the same table entry
+    monkeypatch.setitem(cli.series.SMALLEST_SIZE, "bell", 2)
+    with pytest.raises(ValueError, match="^max_n must be >= 2$"):
+        verify_theorem(1)
+    argv = ["verify", "theorem", "--max-n", "1"]
+    assert run_cli(capsys, argv) == (3, "", "error: max_n must be >= 2\n")
+    assert stub_reports == []
+
+
 def test_verify_caps_are_checked_before_lower_bounds(capsys, stub_reports):
     argv = ["verify", "all", "--max-n", "0", "--order", "30000"]
     assert run_cli(capsys, argv) == (3, "", "error: verify eq3 --order is capped at 28570\n")
@@ -389,12 +402,21 @@ def test_verify_runs_at_its_cap(capsys, stub_reports):
     ]
 
 
-def test_theorem_cap_is_the_last_printable_n():
-    # The cap keeps n! p(7n+5) within qbell's digit bound; one step past it
-    # the right side is past the bound.
-    (cap,) = [target.cap for target in cli._VERIFY_TARGETS if target.name == "theorem"]
-    assert len(format_exact(theorem_rhs(cap))) <= DIGIT_LIMIT
-    assert theorem_rhs(cap + 1) >= 10**DIGIT_LIMIT
+@pytest.mark.parametrize(
+    "target",
+    [target for target in cli._VERIFY_TARGETS if target.check and target.check.side == "bell"],
+    ids=lambda target: target.name,
+)
+def test_bell_side_cap_is_the_last_printable_n(target):
+    # The cap keeps n! p(M n + R) of the row's sum within qbell's digit bound;
+    # one step past it the right side is past the bound.
+    modulus, residue, _ = target.check.sum
+
+    def rhs(n):
+        return factorial(n) * partition_count(modulus * n + residue)
+
+    assert len(format_exact(rhs(target.cap))) <= DIGIT_LIMIT
+    assert rhs(target.cap + 1) >= 10**DIGIT_LIMIT
 
 
 @pytest.mark.parametrize("limit", [640, 0])  # the interpreter's smallest limit, and none

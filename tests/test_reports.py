@@ -34,10 +34,11 @@ def _oracle(payload) -> str:
 
 
 def test_writer_matches_json_dumps_for_every_verify_target():
-    # every verify target at its `verify all` default, in that order
+    # every verify target at its `verify all` size, in that order
+    sizes = cli._VERIFY_ALL_SIZES
     reports = [
-        series.residue_class_report(t.check, t.default) if t.check
-        else verify_congruences(t.default)
+        series.residue_class_report(t.check, sizes[t.flag]) if t.check
+        else verify_congruences(sizes[t.flag])
         for t in cli._VERIFY_TARGETS
     ]
     assert [report.label for report in reports] == [
