@@ -50,25 +50,48 @@ def _order_cap(modulus: int, residue: int) -> int:
     return (PARTITION_LIMIT - residue) // modulus
 
 
+def _flag(size: str) -> str:
+    """The option that sets a library size parameter: --max-n sets max_n."""
+    return "--" + size.replace("_", "-")
+
+
 # verify targets in `verify all` order.  A check is a row of qbell.series run by its
-# residue-class report, whose side's smallest size (qbell.series.SMALLEST_SIZE) is the row's
-# lower bound; the congruence sweep's is 0.  The theorem's cap is the Bell side's digit rule, a
-# literal since computing it fills p(10666): n! p(7n+5) has 4298 digits at n = 1523 and 4302 at
-# 1524.  Every other value has under 500 digits, and each other cap is _order_cap of the check's
-# sum or, for congruences, the least over its families, the (11, 6) family's.
-_Target = namedtuple("_Target", "name help check flag cap")
+# residue-class report; a row without one is the congruence sweep.  The library owns the name of
+# each size and its smallest value, qbell.series.SIZE_NAME and SMALLEST_SIZE for a check's side
+# and qbell.identity's SWEEP_ names for the sweep: the name gives the flag and the smallest value
+# its lower bound.  The theorem's cap is the Bell side's digit rule, a literal since computing it
+# fills p(10666): n! p(7n+5) has 4298 digits at n = 1523 and 4302 at 1524.  Every other value has
+# under 500 digits, and each other cap is _order_cap of the check's sum or, for congruences, the
+# least over its families, the (11, 6) family's.
+class _Target(namedtuple("_Target", "name help check cap")):
+    __slots__ = ()
+
+    @property
+    def size(self) -> str:
+        return series.SIZE_NAME[self.check.side] if self.check else identity.SWEEP_SIZE_NAME
+
+    @property
+    def flag(self) -> str:
+        return _flag(self.size)
+
+    @property
+    def smallest(self) -> int:
+        # read when the parser is built, so a patched table entry is the bound
+        return series.SMALLEST_SIZE[self.check.side] if self.check else identity.SWEEP_SMALLEST_SIZE
+
+
 _VERIFY_TARGETS = (
-    _Target("theorem", "Bell-polynomial identity for n! p(7n+5)", series.BELL_IDENTITY,
-            "--max-n", 1523),
+    _Target("theorem", "Bell-polynomial identity for n! p(7n+5)", series.BELL_IDENTITY, 1523),
     _Target("eq2", "series identity for p(5k+4)", series.P5K4_SERIES,
-            "--order", _order_cap(*series.P5K4_SERIES.sum[:2])),
+            _order_cap(*series.P5K4_SERIES.sum[:2])),
     _Target("eq3", "series identity for p(7n+5)", series.P7N5_SERIES,
-            "--order", _order_cap(*series.P7N5_SERIES.sum[:2])),
+            _order_cap(*series.P7N5_SERIES.sum[:2])),
     _Target("congruences", "p(5k+4), p(7k+5), p(11k+6) divisibility", None,
-            "--max-k", min(_order_cap(*family) for family in identity._CONGRUENCE_FAMILIES)),
+            min(_order_cap(*family) for family in identity._CONGRUENCE_FAMILIES)),
 )
 # the size of each flag under `verify all`
-_VERIFY_ALL_SIZES = {"--max-n": 64, "--order": 200, "--max-k": 1000}
+_VERIFY_ALL_SIZES = {_flag(series.SIZE_NAME["bell"]): 64, _flag(series.SIZE_NAME["product"]): 200,
+                     _flag(identity.SWEEP_SIZE_NAME): 1000}
 
 
 def _parse_int(text: str) -> int:
@@ -145,8 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _declare_verify(p: argparse.ArgumentParser, targets) -> None:
-    bounds = [(f"verify {t.name} {t.flag}", t.flag[2:].replace("-", "_"),
-               series.SMALLEST_SIZE[t.check.side] if t.check else 0, t.cap) for t in targets]
+    bounds = [(f"verify {t.name} {t.flag}", t.size, t.smallest, t.cap) for t in targets]
     p.set_defaults(run=_cmd_verify, targets=targets, bounds=bounds)
 
 

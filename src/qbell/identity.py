@@ -71,6 +71,9 @@ def verify_theorem(max_n: int) -> VerificationReport:
 
 _CONGRUENCE_FAMILIES = ((5, 4), (7, 5), (11, 6))
 _CONGRUENCE_MODULUS = lcm(*(modulus for modulus, _ in _CONGRUENCE_FAMILIES))  # 385
+# The sweep's size parameter and the smallest size it checks, read by the front end too
+SWEEP_SIZE_NAME = "max_k"
+SWEEP_SMALLEST_SIZE = 0
 
 
 def verify_congruences(max_k: int) -> VerificationReport:
@@ -83,8 +86,8 @@ def verify_congruences(max_k: int) -> VerificationReport:
     and local to this call; the exact partition table is neither read nor
     grown.
     """
-    if max_k < 0:
-        raise ValueError("max_k must be >= 0")
+    if max_k < SWEEP_SMALLEST_SIZE:
+        raise ValueError(f"{SWEEP_SIZE_NAME} must be >= {SWEEP_SMALLEST_SIZE}")
     largest = max(modulus * max_k + offset for modulus, offset in _CONGRUENCE_FAMILIES)
     residues = partition_residues(largest, _CONGRUENCE_MODULUS)
     rows = (

@@ -1,9 +1,12 @@
 """The partition function p(n), its residues, and an independent counting oracle.
 
-Both tables run Euler's pentagonal recurrence.  ``partition_count`` keeps
-one shared exact table, filled in blocks; ``partition_residues`` fills a
-table of p(n) mod m afresh for each call, with most of its additions done
-on many residues at once, packed as fixed-width slots of one big int.
+Both tables come from Euler's pentagonal recurrence, E(x) P(x) = 1 with E
+the Euler product and P the partition series.  ``partition_count`` keeps
+one shared exact table, filled in blocks.  ``partition_residues`` fills a
+table of p(n) mod m afresh for each call, a chunk of entries at a time, on
+residues packed as fixed-width slots of big ints: the terms that earlier
+chunks contribute are added in as shifted whole chunks, and a chunk's own
+terms are one product with the packed residues of the first chunk.
 """
 
 import sys
@@ -11,7 +14,6 @@ import threading
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from operator import itemgetter
 
 __all__ = ["partition_count", "partition_count_brute", "BRUTE_LIMIT", "PARTITION_LIMIT"]
 
@@ -27,12 +29,18 @@ _extend_lock = threading.Lock()
 # are added entry by entry.
 _BLOCK = 64
 
-# Entries per chunk of the packed residue fill, and the unsigned array
-# typecodes its slots may take, narrowest first.  A wider chunk makes fewer
-# big-int additions but longer ones, and more in-chunk terms; of 64 .. 1024,
-# 256 had the lowest median time to p(55006) and to p(110006).
-_CHUNK = 256
-_SLOTS = "BHILQ"
+# Entries per chunk of the residue fill, C.  A wider chunk makes fewer
+# pushes but longer ones, longer products and a longer kernel, filled entry
+# by entry.  Of 128 .. 1024, timed in fresh interpreters, 256 and 512 tied
+# to p(55006) mod 385, 512 had the lowest median to p(110006) and p(200000),
+# and 256 to p(11006), by 2 ms.
+_CHUNK = 512
+
+# Unsigned array typecodes by item size in bytes, and the widest item, 8
+# bytes: the limb of a wider product slot and the widest push slot.
+_ITEMS = {array(code).itemsize: code for code in "BHILQ"}
+_WIDEST = max(_ITEMS)
+_LIMB = (1 << 8 * _WIDEST) - 1
 
 
 def partition_count(n: int) -> int:
@@ -73,30 +81,36 @@ def partition_residues(n: int, modulus: int) -> list[int]:
     """p(0) .. p(n) mod modulus, for 0 <= n <= PARTITION_LIMIT and modulus >= 1.
 
     The pentagonal recurrence has integer coefficients, so it runs mod
-    modulus as it stands.  Every residue is below modulus, so most of the
-    additions run inside big-int operations over fixed-width slots packed
-    into one int (Harvey, J. Symb. Comp. 2009), ``_CHUNK`` entries at a
-    time:
+    modulus as it stands.  The fill takes C = ``_CHUNK`` entries at a time,
+    each chunk as a few big-int operations over fixed-width slots packed
+    into one int (Harvey, J. Symb. Comp. 2009):
 
-    - pack: each finished chunk becomes one int, one unsigned slot per
-      residue r and, in its upper half, one per negation -r % modulus;
-    - push: for every generalized pentagonal offset g, the half of the
-      packed chunk that g's sign selects, shifted by g % _CHUNK slots, is
-      added into the accumulator of the chunk g // _CHUNK ahead.  An
-      accumulator spans two chunks' slots; after the pushes its upper half
-      is carried into the next chunk's accumulator;
-    - read: a chunk's accumulator is unpacked, and only the terms of
-      offsets below _CHUNK whose source lies in the chunk itself are added
-      entry by entry; each entry is reduced, and negated, as it is stored.
+    - pack: each finished chunk becomes two ints, one slot per residue r in
+      the one and per negation -r % modulus in the other;
+    - push: for every generalized pentagonal offset g, the int that g's
+      sign selects, shifted by g % C slots, is added into the accumulator of
+      the chunk g // C ahead.  An accumulator spans two chunks' slots; after
+      the pushes its upper half is carried into the next chunk's accumulator,
+      and its lower half, which held the terms whose source lies in the
+      chunk they reach, is dropped;
+    - read: a chunk's accumulator A then holds the terms of every source in
+      an earlier chunk.  By E(x) P(x) = 1, E the Euler product and P the
+      partition series, the chunk is A P mod x^C, so A is unpacked, reduced
+      mod modulus, packed again and multiplied by the kernel p(0) .. p(C - 1)
+      mod modulus, packed the same way; the low C slots of the product,
+      reduced, are the chunk.  The kernel is the first chunk, filled by the
+      plain per-entry recurrence.
 
-    Slots never carry into each other: every addend is non-negative, a -
-    term being the + term of the negation, and a slot sums at most one
-    value in [0, modulus - 1] per offset, at most len(offsets) *
-    (modulus - 1) in all, which the slot's array typecode must hold.  The
-    list is built afresh for each call and shared with no one.  Raises
-    ``ValueError`` for n < 0 and for n > PARTITION_LIMIT, as
-    ``partition_count`` does, for modulus < 1, and for a modulus whose bound
-    fits no slot.
+    Slots never carry into each other.  Every addend is non-negative, a -
+    term being the + term of the negation: a push slot sums at most one
+    value in [0, modulus - 1] per offset, at most len(offsets) * (modulus -
+    1) in all, and a product slot at most C products of two such values, at
+    most C (modulus - 1)^2.  Each takes the fewest whole bytes that hold its
+    bound (``_slot_width``); a push slot must fit the widest array item, 8
+    bytes.  The list is built afresh for each call and shared with no one.
+    Raises ``ValueError`` for n < 0 and for n > PARTITION_LIMIT, as
+    ``partition_count`` does, for modulus < 1, and for a modulus whose push
+    bound fits no array item.
     """
     if n < 0:
         raise ValueError("partition_residues is defined for n >= 0")
@@ -105,49 +119,92 @@ def partition_residues(n: int, modulus: int) -> list[int]:
     if modulus < 1:
         raise ValueError("partition_residues needs a modulus >= 1")
     offsets = pentagonal_numbers(n)
-    bound = len(offsets) * (modulus - 1)
-    typecode = next((code for code in _SLOTS if bound < 256 ** array(code).itemsize), None)
-    if typecode is None:
+    push = _slot_width(len(offsets) * (modulus - 1))
+    if push > _WIDEST:
         raise ValueError(f"partition_residues to n = {n} packs no modulus above "
-                         f"{(256 ** array(_SLOTS[-1]).itemsize - 1) // len(offsets) + 1}")
-    bits = 8 * array(typecode).itemsize  # per slot
-    half = bits * _CHUNK  # per chunk, half an accumulator
-    low = (1 << half) - 1
+                         f"{(256 ** _WIDEST - 1) // len(offsets) + 1}")
+    product = _slot_width(_CHUNK * (modulus - 1) ** 2)
+    half = 8 * push * _CHUNK  # bits per chunk, half an accumulator
     chunks = n // _CHUNK + 1
     # (chunks ahead, shift in bits, 1 for a - offset) per offset; the signs run + + - -
-    pushes = [(g // _CHUNK, g % _CHUNK * bits, i >> 1 & 1) for i, g in enumerate(offsets)]
-    # Entry s of a chunk reads the in-chunk sources s - g of the offsets
-    # g <= s only, in the upper half for a - offset: the sources below the
-    # chunk came in with the pushes.  Slot 2 * _CHUNK of the chunk list stays
-    # 0, and each getter reads it twice, so that it returns a tuple however
-    # few sources it has.
-    small = offsets[: bisect_left(offsets, _CHUNK)]
-    gets = [itemgetter(2 * _CHUNK, 2 * _CHUNK,
-                       *(s - g + (i >> 1 & 1) * _CHUNK for i, g in enumerate(small) if g <= s))
-            for s in range(_CHUNK)]
+    pushes = [(g // _CHUNK, g % _CHUNK * 8 * push, i >> 1 & 1) for i, g in enumerate(offsets)]
+    chunk = [1 % modulus]  # p(0) = 1, the recurrence's one constant term
+    for s in range(1, min(_CHUNK, n + 1)):
+        total = 0
+        for i, g in enumerate(offsets):
+            if g > s:
+                break
+            total += -chunk[s - g] if i & 2 else chunk[s - g]
+        chunk.append(total % modulus)
+    kernel = _pack(chunk, product)
+    table = chunk[:]
     acc = [0] * chunks
-    acc[0] = 1  # p(0) = 1, the recurrence's one constant term
-    chunk = [0] * (2 * _CHUNK + 1)
-    table = []
-    for c in range(chunks):
-        slots = array(typecode)
-        slots.frombytes((acc[c] & low).to_bytes(half // 8, sys.byteorder))
-        width = min(_CHUNK, n + 1 - c * _CHUNK)
-        for s, a, get in zip(range(width), slots, gets):
-            r = (a + sum(get(chunk))) % modulus
-            chunk[s], chunk[s + _CHUNK] = r, -r % modulus
-        table += chunk[:width]
-        if c + 1 == chunks:
-            break
-        packed = int.from_bytes(array(typecode, chunk[: 2 * _CHUNK]).tobytes(), sys.byteorder)
-        halves = (packed & low, packed >> half)
+    for c in range(chunks - 1):
+        halves = (_pack(chunk, push), _pack([-r % modulus for r in chunk], push))
         for ahead, shift, sign in pushes:
             if c + ahead >= chunks:
                 break
             acc[c + ahead] += halves[sign] << shift
         acc[c + 1] += acc[c] >> half
         acc[c] = 0
+        width = min(_CHUNK, n + 1 - (c + 1) * _CHUNK)  # entries in chunk c + 1
+        terms = _pack([a % modulus for a in _unpack(acc[c + 1], width, push)], product)
+        chunk = [v % modulus for v in _unpack(terms * kernel, width, product)]
+        table += chunk
     return table
+
+
+def _slot_width(bound: int) -> int:
+    """The fewest whole bytes, at least one, that hold every value in 0 .. bound."""
+    return max(1, (bound.bit_length() + 7) // 8)
+
+
+def _pack(values: list[int], width: int) -> int:
+    """One int holding values[i] in its bytes i * width .. (i + 1) * width - 1.
+
+    Each value must be below 256**width.  The slots go through arrays, in
+    limbs of at most 8 bytes, lowest first; a limb narrower than its array
+    item gets the item's low bytes by strided copies.
+    """
+    out = bytearray(len(values) * width)
+    for lo, size, item in _limbs(width):
+        limbs = values if width <= _WIDEST else [v >> 8 * lo & _LIMB for v in values]
+        raw = _little(array(_ITEMS[item], limbs)).tobytes()
+        if item == width:
+            return int.from_bytes(raw, "little")
+        for j in range(size):
+            out[lo + j :: width] = raw[j :: item]
+    return int.from_bytes(out, "little")
+
+
+def _unpack(number: int, count: int, width: int) -> list[int]:
+    """The lowest count slots of width bytes of number, the inverse of ``_pack``."""
+    raw = (number & ((1 << 8 * count * width) - 1)).to_bytes(count * width, "little")
+    values = None
+    for lo, size, item in _limbs(width):
+        if item == width:
+            items = raw
+        else:
+            items = bytearray(count * item)
+            for j in range(size):
+                items[j :: item] = raw[lo + j :: width]
+        limbs = _little(array(_ITEMS[item], items)).tolist()
+        values = limbs if values is None else [v | u << 8 * lo for v, u in zip(values, limbs)]
+    return values
+
+
+def _limbs(width: int):
+    """(first byte, bytes, array item size) of each limb of a width-byte slot, lowest first."""
+    for lo in range(0, width, _WIDEST):
+        size = min(_WIDEST, width - lo)
+        yield lo, size, min(item for item in _ITEMS if item >= size)
+
+
+def _little(items: array) -> array:
+    """items with each item's bytes in little-endian order, swapped in place on big-endian hosts."""
+    if sys.byteorder == "big":
+        items.byteswap()
+    return items
 
 
 def pentagonal_numbers(n: int) -> list[int]:

@@ -322,7 +322,9 @@ BELL_IDENTITY = ResidueCheck("bell-identity", SUM_7N5, "bell")
 P5K4_SERIES = ResidueCheck("p5k4-series", SUM_5K4, "product")
 P7N5_SERIES = ResidueCheck("p7n5-series", SUM_7N5, "product")
 
-# The smallest size each side checks, read by the report and by the front end's lower bounds
+# Each side's size parameter and the smallest size it checks, read by the report and by the
+# front end, whose flag and lower bound they give
+SIZE_NAME = {"bell": "max_n", "product": "order"}
 SMALLEST_SIZE = {"bell": 1, "product": 0}
 
 
@@ -342,7 +344,7 @@ def residue_class_report(check: ResidueCheck, size: int) -> VerificationReport:
         raise ValueError(f"side must be 'bell' or 'product', not {check.side!r}")
     bell = check.side == "bell"
     if size < first:
-        raise ValueError(f"{'max_n' if bell else 'order'} must be >= {first}")
+        raise ValueError(f"{SIZE_NAME[check.side]} must be >= {first}")
     modulus, residue, eta_rows = check.sum
     partition_count(modulus * size + residue)  # the bound and a one-time fill, before the build
     build = _bell_row if bell else _eta_quotient  # looked up per call, so a patched builder runs

@@ -387,6 +387,20 @@ def test_each_side_has_one_smallest_size(capsys, monkeypatch, stub_reports):
     assert stub_reports == []
 
 
+def test_each_size_has_one_name(capsys, monkeypatch, stub_reports):
+    # the library's message, the front end's flag and its message read the same name
+    monkeypatch.setitem(cli.series.SIZE_NAME, "bell", "largest_n")
+    monkeypatch.setattr(cli.identity, "SWEEP_SIZE_NAME", "largest_k")
+    for report, argv, name, low in [
+        (verify_theorem, ["verify", "theorem", "--largest-n", "0"], "largest_n", 1),
+        (verify_congruences, ["verify", "congruences", "--largest-k", "-1"], "largest_k", 0),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must be >= {low}$"):
+            report(low - 1)
+        assert run_cli(capsys, argv) == (3, "", f"error: {name} must be >= {low}\n")
+    assert stub_reports == []
+
+
 def test_verify_caps_are_checked_before_lower_bounds(capsys, stub_reports):
     argv = ["verify", "all", "--max-n", "0", "--order", "30000"]
     assert run_cli(capsys, argv) == (3, "", "error: verify eq3 --order is capped at 28570\n")

@@ -187,8 +187,9 @@ def test_residue_table_matches_the_oracle_mod_any_modulus(n, modulus):
 
 @pytest.mark.parametrize("width", [1, 2, 3, 5, 64, 1024])
 def test_residue_table_matches_the_oracle_at_other_chunk_widths(monkeypatch, width):
-    # Width 1 pushes every term and reads none in-chunk; width 1024 reads
-    # offsets up to 1023 in-chunk.
+    # Width 1 pushes every term and its product is one slot by one; width
+    # 1024 fills a kernel of 1024 residues entry by entry, past 51 offsets,
+    # and multiplies 1024 slots by 1024.
     monkeypatch.setattr(partitions, "_CHUNK", width)
     expected = pentagonal_oracle()
     for n in sorted({0, 1, width - 1, width, width + 1, 2 * width, ORACLE_LIMIT}):
@@ -217,3 +218,45 @@ def test_residue_table_refuses_a_modulus_past_the_widest_slot():
     assert partition_residues(n, largest) == [p % largest for p in pentagonal_oracle()]
     with pytest.raises(ValueError, match=f"no modulus above {largest}"):
         partition_residues(n, largest + 1)
+
+
+# Every slot width a fill can take: a push slot holds at most 8 bytes, so a
+# product slot, C (modulus - 1)^2, holds at most 16 once the offsets number
+# at least sqrt(C), as they do from n = C on.
+SLOT_WIDTHS = range(1, 2 * partitions._WIDEST + 1)
+
+
+def test_the_widest_product_slot_is_reached():
+    n = partitions._CHUNK
+    largest = (256**partitions._WIDEST - 1) // len(partitions.pentagonal_numbers(n)) + 1
+    assert partitions._slot_width(partitions._CHUNK * (largest - 1) ** 2) == SLOT_WIDTHS[-1]
+
+
+@pytest.mark.parametrize("width", SLOT_WIDTHS)
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_pack_and_unpack_round_trip_at_every_width(width, data):
+    top = 256**width - 1
+    values = data.draw(st.lists(st.one_of(st.just(top), st.just(0), st.integers(0, top)), max_size=40))
+    packed = partitions._pack(values, width)
+    assert packed == sum(v << 8 * width * i for i, v in enumerate(values))
+    assert partitions._unpack(packed, len(values), width) == values
+    # the lowest slots only, from an int whose higher slots are full
+    count = data.draw(st.integers(0, len(values)))
+    full = packed | top << 8 * width * len(values)
+    assert partitions._unpack(full, count, width) == values[:count]
+
+
+@settings(deadline=None, max_examples=200)
+@given(bound=st.one_of(
+    st.builds(lambda width, step: max(0, 256**width + step), st.sampled_from((0, *SLOT_WIDTHS)),
+              st.integers(-1, 1)),
+    st.integers(0, 256 ** SLOT_WIDTHS[-1]),
+))
+@example(bound=0)  # modulus 1
+@example(bound=255)
+@example(bound=256)
+def test_slot_width_is_the_fewest_whole_bytes(bound):
+    width = partitions._slot_width(bound)
+    assert width >= 1 and bound < 256**width
+    assert width == 1 or bound >= 256 ** (width - 1)
