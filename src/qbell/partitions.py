@@ -6,7 +6,8 @@ one shared exact table, filled in blocks.  ``partition_residues`` fills a
 table of p(n) mod m afresh for each call, a chunk of entries at a time, on
 residues packed as fixed-width slots of big ints: the terms that earlier
 chunks contribute are added in as shifted whole chunks, and a chunk's own
-terms are one product with the packed residues of the first chunk.
+terms are one product with the packed residues of the first chunk, which
+the exact table's block fill computes.
 """
 
 import sys
@@ -14,6 +15,7 @@ import threading
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
+from math import isqrt
 
 __all__ = ["partition_count", "partition_count_brute", "BRUTE_LIMIT", "PARTITION_LIMIT"]
 
@@ -30,17 +32,16 @@ _extend_lock = threading.Lock()
 _BLOCK = 64
 
 # Entries per chunk of the residue fill, C.  A wider chunk makes fewer
-# pushes but longer ones, longer products and a longer kernel, filled entry
-# by entry.  Of 128 .. 1024, timed in fresh interpreters, 256 and 512 tied
-# to p(55006) mod 385, 512 had the lowest median to p(110006) and p(200000),
-# and 256 to p(11006), by 2 ms.
+# pushes but longer ones, longer products and a longer kernel, filled as
+# one exact block.  Of 128 .. 1024, timed in fresh interpreters, 256 and
+# 512 tied to p(55006) mod 385, 512 had the lowest median to p(110006) and
+# p(200000), and 256 to p(11006), by 2 ms.
 _CHUNK = 512
 
 # Unsigned array typecodes by item size in bytes, and the widest item, 8
-# bytes: the limb of a wider product slot and the widest push slot.
+# bytes: the widest slot.
 _ITEMS = {array(code).itemsize: code for code in "BHILQ"}
 _WIDEST = max(_ITEMS)
-_LIMB = (1 << 8 * _WIDEST) - 1
 
 
 def partition_count(n: int) -> int:
@@ -58,7 +59,8 @@ def partition_count(n: int) -> int:
     that reads many indices fills it once, at its largest index, first.
     This exact table serves the theorem's right side, the series checks and
     ``qbell partition``; the congruence sweep needs only residues and reads
-    ``partition_residues``, whose packed fill shares no code with this one.
+    ``partition_residues``, whose packed fill takes its first chunk from
+    ``_fill_block`` and shares no other code with this one.
     Raises ``ValueError`` for n < 0 and for n > PARTITION_LIMIT, so the
     table never holds more than PARTITION_LIMIT + 1 entries.
     """
@@ -98,19 +100,20 @@ def partition_residues(n: int, modulus: int) -> list[int]:
       partition series, the chunk is A P mod x^C, so A is unpacked, reduced
       mod modulus, packed again and multiplied by the kernel p(0) .. p(C - 1)
       mod modulus, packed the same way; the low C slots of the product,
-      reduced, are the chunk.  The kernel is the first chunk, filled by the
-      plain per-entry recurrence.
+      reduced, are the chunk.  The kernel is the first chunk: p(0) ..
+      p(C - 1) exactly, by ``_fill_block`` on a list of its own, reduced.
 
     Slots never carry into each other.  Every addend is non-negative, a -
     term being the + term of the negation: a push slot sums at most one
     value in [0, modulus - 1] per offset, at most len(offsets) * (modulus -
     1) in all, and a product slot at most C products of two such values, at
     most C (modulus - 1)^2.  Each takes the fewest whole bytes that hold its
-    bound (``_slot_width``); a push slot must fit the widest array item, 8
-    bytes.  The list is built afresh for each call and shared with no one.
-    Raises ``ValueError`` for n < 0 and for n > PARTITION_LIMIT, as
-    ``partition_count`` does, for modulus < 1, and for a modulus whose push
-    bound fits no array item.
+    bound (``_slot_width``), at most the widest array item, 8 bytes, so the
+    modulus is at most isqrt((256^8 - 1) // C) + 1, 189812532 at C = 512.
+    The list is built afresh for each call and shared with no one.  Raises
+    ``ValueError`` for n < 0 and for n > PARTITION_LIMIT, as
+    ``partition_count`` does, for modulus < 1, and for a modulus above that
+    bound, at every n.
     """
     if n < 0:
         raise ValueError("partition_residues is defined for n >= 0")
@@ -118,24 +121,22 @@ def partition_residues(n: int, modulus: int) -> list[int]:
         raise ValueError(f"partition_residues is capped at n <= {PARTITION_LIMIT}")
     if modulus < 1:
         raise ValueError("partition_residues needs a modulus >= 1")
+    # The product slot bounds the modulus.  The push slot then fits as well:
+    # modulus - 1 < 2^32 at any C >= 1, and 729 offsets reach
+    # PARTITION_LIMIT, so a push slot sums below 729 * 2^32 < 256^8.
+    largest = isqrt((256**_WIDEST - 1) // _CHUNK) + 1
+    if modulus > largest:
+        raise ValueError(f"partition_residues packs no modulus above {largest}")
     offsets = pentagonal_numbers(n)
     push = _slot_width(len(offsets) * (modulus - 1))
-    if push > _WIDEST:
-        raise ValueError(f"partition_residues to n = {n} packs no modulus above "
-                         f"{(256 ** _WIDEST - 1) // len(offsets) + 1}")
     product = _slot_width(_CHUNK * (modulus - 1) ** 2)
     half = 8 * push * _CHUNK  # bits per chunk, half an accumulator
     chunks = n // _CHUNK + 1
     # (chunks ahead, shift in bits, 1 for a - offset) per offset; the signs run + + - -
     pushes = [(g // _CHUNK, g % _CHUNK * 8 * push, i >> 1 & 1) for i, g in enumerate(offsets)]
-    chunk = [1 % modulus]  # p(0) = 1, the recurrence's one constant term
-    for s in range(1, min(_CHUNK, n + 1)):
-        total = 0
-        for i, g in enumerate(offsets):
-            if g > s:
-                break
-            total += -chunk[s - g] if i & 2 else chunk[s - g]
-        chunk.append(total % modulus)
+    exact = [1]  # a list of its own: the shared table stays as it is
+    _fill_block(exact, 1, min(_CHUNK, n + 1), offsets)
+    chunk = [p % modulus for p in exact]
     kernel = _pack(chunk, product)
     table = chunk[:]
     acc = [0] * chunks
@@ -162,42 +163,30 @@ def _slot_width(bound: int) -> int:
 def _pack(values: list[int], width: int) -> int:
     """One int holding values[i] in its bytes i * width .. (i + 1) * width - 1.
 
-    Each value must be below 256**width.  The slots go through arrays, in
-    limbs of at most 8 bytes, lowest first; a limb narrower than its array
-    item gets the item's low bytes by strided copies.
+    Each value must be below 256**width, width at most 8.  The slots go
+    through one array; an item wider than the slot gives its low bytes by
+    strided copies.
     """
-    out = bytearray(len(values) * width)
-    for lo, size, item in _limbs(width):
-        limbs = values if width <= _WIDEST else [v >> 8 * lo & _LIMB for v in values]
-        raw = _little(array(_ITEMS[item], limbs)).tobytes()
-        if item == width:
-            return int.from_bytes(raw, "little")
-        for j in range(size):
-            out[lo + j :: width] = raw[j :: item]
-    return int.from_bytes(out, "little")
+    item = min(size for size in _ITEMS if size >= width)
+    raw = _little(array(_ITEMS[item], values)).tobytes()
+    if item > width:
+        out = bytearray(len(values) * width)
+        for j in range(width):
+            out[j::width] = raw[j::item]
+        raw = out
+    return int.from_bytes(raw, "little")
 
 
 def _unpack(number: int, count: int, width: int) -> list[int]:
     """The lowest count slots of width bytes of number, the inverse of ``_pack``."""
     raw = (number & ((1 << 8 * count * width) - 1)).to_bytes(count * width, "little")
-    values = None
-    for lo, size, item in _limbs(width):
-        if item == width:
-            items = raw
-        else:
-            items = bytearray(count * item)
-            for j in range(size):
-                items[j :: item] = raw[lo + j :: width]
-        limbs = _little(array(_ITEMS[item], items)).tolist()
-        values = limbs if values is None else [v | u << 8 * lo for v, u in zip(values, limbs)]
-    return values
-
-
-def _limbs(width: int):
-    """(first byte, bytes, array item size) of each limb of a width-byte slot, lowest first."""
-    for lo in range(0, width, _WIDEST):
-        size = min(_WIDEST, width - lo)
-        yield lo, size, min(item for item in _ITEMS if item >= size)
+    item = min(size for size in _ITEMS if size >= width)
+    if item > width:
+        items = bytearray(count * item)
+        for j in range(width):
+            items[j::item] = raw[j::width]
+        raw = items
+    return _little(array(_ITEMS[item], raw)).tolist()
 
 
 def _little(items: array) -> array:

@@ -29,7 +29,7 @@ def parse_exact(text: str) -> int | Fraction:
     return Fraction(value, int(Decimal(den))) if den else value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckEntry:
     """One verified index: the computed value against the expected one."""
 
@@ -39,7 +39,7 @@ class CheckEntry:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
     """A labelled batch of checks; failures are entries, never exceptions."""
 

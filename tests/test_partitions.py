@@ -6,6 +6,7 @@ import sys
 import threading
 from array import array
 from functools import lru_cache
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -185,15 +186,21 @@ def test_residue_table_matches_the_oracle_mod_any_modulus(n, modulus):
     assert partition_residues(n, modulus) == [p % modulus for p in expected[: n + 1]]
 
 
+def largest_modulus(width: int) -> int:
+    """The largest m whose product slot, width (m - 1)^2, fits the widest array item."""
+    widest = max(array(code).itemsize for code in "BHILQ")
+    return isqrt((256**widest - 1) // width) + 1
+
+
 @pytest.mark.parametrize("width", [1, 2, 3, 5, 64, 1024])
 def test_residue_table_matches_the_oracle_at_other_chunk_widths(monkeypatch, width):
-    # Width 1 pushes every term and its product is one slot by one; width
-    # 1024 fills a kernel of 1024 residues entry by entry, past 51 offsets,
-    # and multiplies 1024 slots by 1024.
+    # Width 1 pushes every term and its product is one slot by one, mod up
+    # to 2^32; width 1024 fills a kernel of 1024 exact entries as one block,
+    # past 51 offsets, and multiplies 1024 slots by 1024.
     monkeypatch.setattr(partitions, "_CHUNK", width)
     expected = pentagonal_oracle()
     for n in sorted({0, 1, width - 1, width, width + 1, 2 * width, ORACLE_LIMIT}):
-        for modulus in (1, 7, 385, 10**6):
+        for modulus in (1, 7, 385, 10**6, largest_modulus(width)):
             assert partition_residues(n, modulus) == [p % modulus for p in expected[: n + 1]]
 
 
@@ -209,27 +216,26 @@ def test_residue_table_bounds():
 
 
 def test_residue_table_refuses_a_modulus_past_the_widest_slot():
-    # A slot sums at most one residue per offset, so the bound is
-    # len(offsets) * (modulus - 1); the widest array slot must hold it.
-    n = ORACLE_LIMIT
-    count = len(partitions.pentagonal_numbers(n))
-    widest = max(array(code).itemsize for code in "BHILQ")
-    largest = (256**widest - 1) // count + 1
-    assert partition_residues(n, largest) == [p % largest for p in pentagonal_oracle()]
-    with pytest.raises(ValueError, match=f"no modulus above {largest}"):
-        partition_residues(n, largest + 1)
+    # A product slot sums at most C products of two residues, so its bound
+    # is C (modulus - 1)^2; the widest array slot must hold it, at every n.
+    largest = largest_modulus(partitions._CHUNK)
+    assert (largest, largest_modulus(1)) == (189_812_532, 2**32)
+    assert partition_residues(ORACLE_LIMIT, largest) == [p % largest for p in pentagonal_oracle()]
+    for n in (0, ORACLE_LIMIT):
+        with pytest.raises(ValueError, match=f"no modulus above {largest}$"):
+            partition_residues(n, largest + 1)
 
 
-# Every slot width a fill can take: a push slot holds at most 8 bytes, so a
-# product slot, C (modulus - 1)^2, holds at most 16 once the offsets number
-# at least sqrt(C), as they do from n = C on.
-SLOT_WIDTHS = range(1, 2 * partitions._WIDEST + 1)
+# Every slot width a fill can take: a product slot holds at most 8 bytes,
+# and a push slot, len(offsets) (modulus - 1), no more than that.
+SLOT_WIDTHS = range(1, partitions._WIDEST + 1)
 
 
 def test_the_widest_product_slot_is_reached():
-    n = partitions._CHUNK
-    largest = (256**partitions._WIDEST - 1) // len(partitions.pentagonal_numbers(n)) + 1
-    assert partitions._slot_width(partitions._CHUNK * (largest - 1) ** 2) == SLOT_WIDTHS[-1]
+    largest = largest_modulus(partitions._CHUNK)
+    assert partitions._slot_width(partitions._CHUNK * (largest - 1) ** 2) == SLOT_WIDTHS[-1] == 8
+    count = len(partitions.pentagonal_numbers(PARTITION_LIMIT))
+    assert partitions._slot_width(count * (largest - 1)) < 8
 
 
 @pytest.mark.parametrize("width", SLOT_WIDTHS)
