@@ -4,10 +4,10 @@ Arguments are passed as plain sequences; ``args[i - 1]`` holds the formula
 variable x_i, so all docstrings below speak in 1-based indices.
 """
 
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from math import factorial, lcm
 from operator import add, mul
-from typing import Iterator, Sequence
 
 from .series import TruncatedSeries
 

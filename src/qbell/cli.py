@@ -15,7 +15,6 @@ or parse error, 3 precondition violation, a size past its cap included.
 
 import argparse
 import re
-import signal
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -234,7 +233,7 @@ def main(argv=None) -> int:
                 raise ValueError(f"{dest} must be >= {low}")  # the library's message
         return args.run(args) or 0
     except SystemExit as exc:  # argparse usage errors and --help
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code  # argparse exits with an int
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -245,7 +244,10 @@ def entry() -> None:
 
     A reader that closes stdout early (``| head``) ends the process by
     SIGPIPE, as it ends ``cat``, where the platform has the signal.
+    ``signal`` is imported here, so that importing the front end does not load it.
     """
+    import signal
+
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())

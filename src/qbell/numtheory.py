@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 from operator import index
-from typing import NamedTuple
 
 __all__ = [
     "SIGMA_LIMIT",
@@ -80,11 +79,10 @@ def sigma(n: int) -> int:
     return total
 
 
-class SevenAdicSplit(NamedTuple):
-    """Decomposition n = 7**exponent * coprime, with 7 not dividing coprime."""
+class SevenAdicSplit(namedtuple("SevenAdicSplit", "exponent coprime")):
+    """Decomposition n = 7**exponent * coprime, with 7 not dividing coprime; both are ints."""
 
-    exponent: int
-    coprime: int
+    __slots__ = ()
 
     @property
     def value(self) -> int:

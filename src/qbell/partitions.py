@@ -134,9 +134,14 @@ def partition_residues(n: int, modulus: int) -> list[int]:
     chunks = n // _CHUNK + 1
     # (chunks ahead, shift in bits, 1 for a - offset) per offset; the signs run + + - -
     pushes = [(g // _CHUNK, g % _CHUNK * 8 * push, i >> 1 & 1) for i, g in enumerate(offsets)]
+    # Each residue is read from one list, so equal residues share one int
+    # object (CPython shares only the ints up to 256), where the list is no
+    # longer than the table; past that, a range gives each entry an int of its
+    # own, as % does.
+    residues = list(range(modulus)) if modulus <= n + 1 else range(modulus)
     exact = [1]  # a list of its own: the shared table stays as it is
     _fill_block(exact, 1, min(_CHUNK, n + 1), offsets)
-    chunk = [p % modulus for p in exact]
+    chunk = [residues[p % modulus] for p in exact]
     kernel = _pack(chunk, product)
     table = chunk[:]
     acc = [0] * chunks
@@ -150,7 +155,7 @@ def partition_residues(n: int, modulus: int) -> list[int]:
         acc[c] = 0
         width = min(_CHUNK, n + 1 - (c + 1) * _CHUNK)  # entries in chunk c + 1
         terms = _pack([a % modulus for a in _unpack(acc[c + 1], width, push)], product)
-        chunk = [v % modulus for v in _unpack(terms * kernel, width, product)]
+        chunk = [residues[v % modulus] for v in _unpack(terms * kernel, width, product)]
         table += chunk
     return table
 

@@ -1,6 +1,6 @@
 """Pass/fail verification reports, the exact number codec, deterministic JSON rendering."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -29,22 +29,34 @@ def parse_exact(text: str) -> int | Fraction:
     return Fraction(value, int(Decimal(den))) if den else value
 
 
-@dataclass(frozen=True, slots=True)
 class CheckEntry:
-    """One verified index: the computed value against the expected one."""
+    """One verified index: the computed value against the expected one.
 
-    index: int
-    computed: int | Fraction
-    expected: int | Fraction
-    passed: bool
+    A slotted record with no ``__dict__``, since a report can hold many
+    thousands of them; it compares by identity.
+    """
+
+    __slots__ = ("index", "computed", "expected", "passed")
+
+    def __init__(self, index: int, computed: int | Fraction, expected: int | Fraction,
+                 passed: bool):
+        self.index = index
+        self.computed = computed
+        self.expected = expected
+        self.passed = passed
+
+    def __repr__(self) -> str:
+        return (f"CheckEntry(index={self.index!r}, computed={self.computed!r}, "
+                f"expected={self.expected!r}, passed={self.passed!r})")
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationReport:
-    """A labelled batch of checks; failures are entries, never exceptions."""
+class VerificationReport(namedtuple("VerificationReport", "label entries")):
+    """A labelled batch of checks; failures are entries, never exceptions.
 
-    label: str
-    entries: tuple[CheckEntry, ...]
+    ``label`` is a str and ``entries`` a tuple of ``CheckEntry``.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def from_rows(cls, label: str, rows) -> "VerificationReport":

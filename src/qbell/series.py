@@ -11,10 +11,10 @@ it returns.  Values are immutable, so concurrent use needs no coordination.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import accumulate, count, repeat
 from operator import mul
-from typing import Iterable
 
 from .numtheory import SUM_5K4, SUM_7N5, EtaQuotient, G, H, _weight
 from .partitions import partition_count, pentagonal_numbers

@@ -213,6 +213,22 @@ def test_library_reports_print_as_their_verify_targets(capsys, target):
     assert run_cli(capsys, argv) == (0, library.getvalue() + "\n", "")
 
 
+# the entry indices of each verify target at its smallest size
+_SMALLEST_ENTRIES = {"theorem": [1], "eq2": [0], "eq3": [0], "congruences": [4, 5, 6]}
+
+
+@pytest.mark.parametrize("target", cli._VERIFY_TARGETS, ids=lambda target: target.name)
+def test_verify_targets_run_at_their_smallest_size(capsys, target):
+    # the library report and the front end accept the lower bound they share
+    report = _LIBRARY_REPORTS[target.name](target.smallest)
+    assert [entry.index for entry in report.entries] == _SMALLEST_ENTRIES[target.name]
+    assert report.overall_pass
+    library = io.StringIO()
+    write_json(report, library)
+    argv = ["verify", target.name, target.flag, str(target.smallest)]
+    assert run_cli(capsys, argv) == (0, library.getvalue() + "\n", "")
+
+
 def test_verify_output_is_deterministic(capsys):
     first = run_cli(capsys, ["verify", "theorem", "--max-n", "4"])
     second = run_cli(capsys, ["verify", "theorem", "--max-n", "4"])
@@ -231,6 +247,7 @@ def test_verify_output_is_deterministic(capsys):
         ["coeff", "q", "3"],
         ["bell", "2", "4"],
         ["bell", "2", "4", "12", "5"],
+        ["bell", "0", "5"],  # B_0 takes no argument
         ["bell", "1", "1/0"],
         ["bell", "1", "x"],
         ["bell", "1", "\u0663"],  # ARABIC-INDIC DIGIT THREE, a Unicode digit
@@ -589,6 +606,20 @@ def test_importing_the_front_end_does_no_work():
         [sys.executable, "-c", check], capture_output=True, text=True, check=True
     )
     assert proc.stdout == "1 0\n"
+
+
+def test_importing_the_front_end_loads_only_what_it_runs():
+    # -S keeps site's own imports out; the records need no dataclasses (which loads
+    # inspect), annotations no typing, and only the console entry needs signal
+    check = (
+        "import sys\n"
+        "import qbell, qbell.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'signal'} & sys.modules.keys()))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", check], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"
 
 
 def test_module_invocation_usage_error():

@@ -2,6 +2,7 @@
 
 import os
 import random
+import subprocess
 import sys
 import threading
 from array import array
@@ -63,6 +64,16 @@ def test_negative_rejected():
         partition_count(-1)
     with pytest.raises(ValueError):
         partition_count_brute(-1)
+
+
+def test_a_fresh_table_grows_one_entry_per_call():
+    # each call reads the index just past the filled table
+    check = (
+        "from qbell.partitions import partition_count\n"
+        "print(sum(partition_count(n) for n in range(301)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, check=True)
+    assert proc.stdout == f"{sum(pentagonal_oracle()[:301])}\n"
 
 
 def test_memo_table_survives_interleaved_calls():
@@ -202,6 +213,14 @@ def test_residue_table_matches_the_oracle_at_other_chunk_widths(monkeypatch, wid
     for n in sorted({0, 1, width - 1, width, width + 1, 2 * width, ORACLE_LIMIT}):
         for modulus in (1, 7, 385, 10**6, largest_modulus(width)):
             assert partition_residues(n, modulus) == [p % modulus for p in expected[: n + 1]]
+
+
+def test_residue_table_holds_one_int_per_residue():
+    # equal residues are one object, where the modulus is no more than the entries
+    n = 2 * partitions._CHUNK
+    residues = partition_residues(n, 385)
+    assert len({id(r) for r in residues}) == len(set(residues))
+    assert partition_residues(n, n + 2) == [p % (n + 2) for p in pentagonal_oracle()[: n + 1]]
 
 
 def test_residue_table_bounds():

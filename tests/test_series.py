@@ -87,6 +87,18 @@ def test_repr_renders_coefficients_past_the_interpreter_digit_limit():
     assert repr(TruncatedSeries([10**5000, 1])) == f"TruncatedSeries(order=1, [1{'0' * 5000}, 1])"
 
 
+@pytest.mark.parametrize(
+    "order, shown",
+    [
+        (7, "0, 1, 2, 3, 4, 5, 6, 7"),
+        (8, "0, 1, 2, 3, 4, 5, 6, 7, ..."),
+        (9, "0, 1, 2, 3, 4, 5, 6, 7, ..."),
+    ],
+)
+def test_repr_shows_eight_coefficients_and_elides_the_rest(order, shown):
+    assert repr(TruncatedSeries(range(order + 1))) == f"TruncatedSeries(order={order}, [{shown}])"
+
+
 def test_addition_and_scalars():
     a = TruncatedSeries([1, 2, 3])
     b = TruncatedSeries([0, 1, 1])
