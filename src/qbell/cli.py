@@ -20,7 +20,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
-from . import identity, series
+from . import series
 from .bell import complete_bell
 from .numtheory import d_coefficient, e_coefficient, sigma
 from .partitions import PARTITION_LIMIT, partition_count
@@ -44,9 +44,9 @@ _BELL_MAX_N = 1000
 _BELL_MAX_WORK = 16_000_000
 
 
-def _order_cap(modulus: int, residue: int) -> int:
-    """Largest size N with p(modulus N + residue) <= PARTITION_LIMIT."""
-    return (PARTITION_LIMIT - residue) // modulus
+def _order_cap(check) -> int:
+    """Largest size N with p(modulus N + residue) <= PARTITION_LIMIT on each class of the check."""
+    return min((PARTITION_LIMIT - r) // m for m, r in series.residue_classes(check))
 
 
 def _flag(size: str) -> str:
@@ -54,20 +54,19 @@ def _flag(size: str) -> str:
     return "--" + size.replace("_", "-")
 
 
-# verify targets in `verify all` order.  A check is a row of qbell.series run by its
-# residue-class report; a row without one is the congruence sweep.  The library owns the name of
-# each size and its smallest value, qbell.series.SIZE_NAME and SMALLEST_SIZE for a check's side
-# and qbell.identity's SWEEP_ names for the sweep: the name gives the flag and the smallest value
-# its lower bound.  The theorem's cap is the Bell side's digit rule, a literal since computing it
+# verify targets in `verify all` order.  Each check is a row of qbell.series, run by its
+# residue-class report.  The library owns the name of each side's size and its smallest value,
+# qbell.series.SIZE_NAME and SMALLEST_SIZE: the name gives the flag and the smallest value its
+# lower bound.  The theorem's cap is the Bell side's digit rule, a literal since computing it
 # fills p(10666): n! p(7n+5) has 4298 digits at n = 1523 and 4302 at 1524.  Every other value has
-# under 500 digits, and each other cap is _order_cap of the check's sum or, for congruences, the
-# least over its families, the (11, 6) family's.
+# under 500 digits, and each other cap is _order_cap of the check: for congruences the (11, 6)
+# family's.
 class _Target(namedtuple("_Target", "name help check cap")):
     __slots__ = ()
 
     @property
     def size(self) -> str:
-        return series.SIZE_NAME[self.check.side] if self.check else identity.SWEEP_SIZE_NAME
+        return series.SIZE_NAME[self.check.side]
 
     @property
     def flag(self) -> str:
@@ -76,21 +75,21 @@ class _Target(namedtuple("_Target", "name help check cap")):
     @property
     def smallest(self) -> int:
         # read when the parser is built, so a patched table entry is the bound
-        return series.SMALLEST_SIZE[self.check.side] if self.check else identity.SWEEP_SMALLEST_SIZE
+        return series.SMALLEST_SIZE[self.check.side]
 
 
 _VERIFY_TARGETS = (
     _Target("theorem", "Bell-polynomial identity for n! p(7n+5)", series.BELL_IDENTITY, 1523),
     _Target("eq2", "series identity for p(5k+4)", series.P5K4_SERIES,
-            _order_cap(*series.P5K4_SERIES.sum[:2])),
+            _order_cap(series.P5K4_SERIES)),
     _Target("eq3", "series identity for p(7n+5)", series.P7N5_SERIES,
-            _order_cap(*series.P7N5_SERIES.sum[:2])),
-    _Target("congruences", "p(5k+4), p(7k+5), p(11k+6) divisibility", None,
-            min(_order_cap(*family) for family in identity._CONGRUENCE_FAMILIES)),
+            _order_cap(series.P7N5_SERIES)),
+    _Target("congruences", "p(5k+4), p(7k+5), p(11k+6) divisibility",
+            series.RAMANUJAN_CONGRUENCES, _order_cap(series.RAMANUJAN_CONGRUENCES)),
 )
 # the size of each flag under `verify all`
-_VERIFY_ALL_SIZES = {_flag(series.SIZE_NAME["bell"]): 64, _flag(series.SIZE_NAME["product"]): 200,
-                     _flag(identity.SWEEP_SIZE_NAME): 1000}
+_VERIFY_ALL_SIZES = {_flag(series.SIZE_NAME[side]): size
+                     for side, size in (("bell", 64), ("product", 200), ("congruence", 1000))}
 
 
 def _parse_int(text: str) -> int:
@@ -149,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=tuple(_SERIES))
     p.add_argument("--order", type=_parse_int, required=True)
     # the same G and H as verify eq3, so the same cap
-    cap = _order_cap(*series.P7N5_SERIES.sum[:2])
+    cap = _order_cap(series.P7N5_SERIES)
     p.set_defaults(run=_cmd_series, bounds=[("series --order", "order", None, cap)])
 
     v = sub.add_parser("verify", help="run a verification report (JSON on stdout)")
@@ -209,11 +208,7 @@ def _cmd_series(args: argparse.Namespace) -> None:
 def _cmd_verify(args: argparse.Namespace) -> int:
     # one bound row per target, in the same order
     sizes = [getattr(args, dest) for _, dest, _, _ in args.bounds]
-    reports = [
-        series.residue_class_report(t.check, size) if t.check
-        else identity.verify_congruences(size)
-        for t, size in zip(args.targets, sizes)
-    ]
+    reports = [series.residue_class_report(t.check, size) for t, size in zip(args.targets, sizes)]
     write_json(reports if args.target == "all" else reports[0], sys.stdout)
     print()
     return 0 if all(report.overall_pass for report in reports) else 1

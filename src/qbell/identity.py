@@ -20,18 +20,19 @@ recurrence of :mod:`qbell.bell` carries B_n = n! a_n (8977 bits).
 hold this route to.  The right side reads the exact partition table of
 ``partition_count``.
 
-This module also sweeps the three classical partition congruences
-(p(5k+4) mod 5, p(7k+5) mod 7, p(11k+6) mod 11); the sweep needs residues
-only and reads a local table of p(n) mod 385 from ``partition_residues``.
+``verify_congruences`` is the same report's congruence side, the row
+``RAMANUJAN_CONGRUENCES``: the three classical partition congruences
+p(5k+4) = 0 mod 5, p(7k+5) = 0 mod 7 and p(11k+6) = 0 mod 11, checked on
+residues only.
 """
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from .numtheory import SUM_7N5
-from .partitions import partition_count, partition_residues
+from .partitions import partition_count
 from .reports import VerificationReport
-from .series import BELL_IDENTITY, residue_class_report
+from .series import BELL_IDENTITY, RAMANUJAN_CONGRUENCES, residue_class_report
 
 __all__ = [
     "theorem_lhs",
@@ -69,30 +70,10 @@ def verify_theorem(max_n: int) -> VerificationReport:
     return residue_class_report(BELL_IDENTITY, max_n)
 
 
-_CONGRUENCE_FAMILIES = ((5, 4), (7, 5), (11, 6))
-_CONGRUENCE_MODULUS = lcm(*(modulus for modulus, _ in _CONGRUENCE_FAMILIES))  # 385
-# The sweep's size parameter and the smallest size it checks, read by the front end too
-SWEEP_SIZE_NAME = "max_k"
-SWEEP_SMALLEST_SIZE = 0
-
-
 def verify_congruences(max_k: int) -> VerificationReport:
-    """Check p(5k+4) = 0 mod 5, p(7k+5) = 0 mod 7, p(11k+6) = 0 mod 11.
+    """Check p(5k+4) = 0 mod 5, p(7k+5) = 0 mod 7, p(11k+6) = 0 mod 11 for 0 <= k <= max_k.
 
-    One entry per (modulus, k) pair for 0 <= k <= max_k, grouped by modulus
-    in the order 5, 7, 11; the entry index is the partition argument and
-    the computed value is the residue.  The residues come from one table of
-    p(n) mod 385 by ``partition_residues``, filled once to the largest index
-    and local to this call; the exact partition table is neither read nor
-    grown.
+    One entry per (modulus, k), by modulus in the order 5, 7, 11: the index
+    is the partition argument and the computed value its residue.
     """
-    if max_k < SWEEP_SMALLEST_SIZE:
-        raise ValueError(f"{SWEEP_SIZE_NAME} must be >= {SWEEP_SMALLEST_SIZE}")
-    largest = max(modulus * max_k + offset for modulus, offset in _CONGRUENCE_FAMILIES)
-    residues = partition_residues(largest, _CONGRUENCE_MODULUS)
-    rows = (
-        (n, residues[n] % modulus, 0)
-        for modulus, offset in _CONGRUENCE_FAMILIES
-        for n in range(offset, modulus * max_k + offset + 1, modulus)
-    )
-    return VerificationReport.from_rows("ramanujan-congruences", rows)
+    return residue_class_report(RAMANUJAN_CONGRUENCES, max_k)

@@ -57,10 +57,10 @@ def partition_count(n: int) -> int:
     sqrt(_BLOCK)) additions in all, run in the interpreter.  The fill
     gains little when the table grows a few entries per call, so a caller
     that reads many indices fills it once, at its largest index, first.
-    This exact table serves the theorem's right side, the series checks and
-    ``qbell partition``; the congruence sweep needs only residues and reads
-    ``partition_residues``, whose packed fill takes its first chunk from
-    ``_fill_block`` and shares no other code with this one.
+    This exact table serves the Bell and product sides of the residue-class
+    report and ``qbell partition``; its congruence side needs only residues
+    and reads ``partition_residues``, whose packed fill takes its first
+    chunk from ``_fill_block`` and shares no other code with this one.
     Raises ``ValueError`` for n < 0 and for n > PARTITION_LIMIT, so the
     table never holds more than PARTITION_LIMIT + 1 entries.
     """

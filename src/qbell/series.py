@@ -6,6 +6,11 @@ else a reduced ``Fraction``, so integer series such as G and H run over
 ints.  Arithmetic between two series truncates to the smaller order and
 never extrapolates; every constructor and method states the order of what
 it returns.  Values are immutable, so concurrent use needs no coordination.
+
+The module also holds the one report that every ``verify`` target runs,
+``residue_class_report``, and its rows, ``ResidueCheck``: each checks p on
+residue classes, by series on the Bell or the product side, or by residues
+alone on the congruence side.
 """
 
 from __future__ import annotations
@@ -14,10 +19,11 @@ from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 from itertools import accumulate, count, repeat
+from math import lcm
 from operator import mul
 
 from .numtheory import SUM_5K4, SUM_7N5, EtaQuotient, G, H, _weight
-from .partitions import partition_count, pentagonal_numbers
+from .partitions import partition_count, partition_residues, pentagonal_numbers
 from .reports import VerificationReport, format_exact
 
 __all__ = [
@@ -316,35 +322,51 @@ def _bell_row(row: EtaQuotient, order: int) -> TruncatedSeries:
     return TruncatedSeries.monomial(row.shift, order, row.scale) * logs.exp()
 
 
-# Each check's label, sum and side, written once: the theorem, eq2 and eq3 (verify reads these)
+# Each check's label, sum and side, written once: the theorem, eq2, eq3 and the classical
+# congruences, whose sum is its (modulus, residue) families (verify reads these)
 ResidueCheck = namedtuple("ResidueCheck", "label sum side")
 BELL_IDENTITY = ResidueCheck("bell-identity", SUM_7N5, "bell")
 P5K4_SERIES = ResidueCheck("p5k4-series", SUM_5K4, "product")
 P7N5_SERIES = ResidueCheck("p7n5-series", SUM_7N5, "product")
+RAMANUJAN_CONGRUENCES = ResidueCheck(
+    "ramanujan-congruences", ((5, 4), (7, 5), (11, 6)), "congruence")
 
 # Each side's size parameter and the smallest size it checks, read by the report and by the
 # front end, whose flag and lower bound they give
-SIZE_NAME = {"bell": "max_n", "product": "order"}
-SMALLEST_SIZE = {"bell": 1, "product": 0}
+SIZE_NAME = {"bell": "max_n", "product": "order", "congruence": "max_k"}
+SMALLEST_SIZE = {"bell": 1, "product": 0, "congruence": 0}
+
+
+def residue_classes(check: ResidueCheck) -> tuple[tuple[int, int], ...]:
+    """The (modulus, residue) classes on which the check reads p(modulus n + residue)."""
+    return check.sum if check.side == "congruence" else (check.sum[:2],)
 
 
 def residue_class_report(check: ResidueCheck, size: int) -> VerificationReport:
-    """Check coefficient n of the check's sum against p(modulus n + residue).
+    """Check p(modulus n + residue) on the check's classes for SMALLEST_SIZE[side] <= n <= size.
 
-    Each side checks SMALLEST_SIZE[side] <= n <= size.  The "product" side
-    builds each row as its eta quotient.  The "bell" side builds each row by
-    ``_bell_row`` and checks n! times both values: by the exponential
-    formula, n! [x^n] of a row is scale (n!/(n-shift)!) B_(n-shift)(1! c_1,
-    2! c_2, ...), so ``BELL_IDENTITY`` is the theorem of :mod:`qbell.identity`.
-    The side and the size are checked, then p(modulus size + residue) is read,
-    which checks its bound and fills the table, before any series is built.
+    The "product" side checks coefficient n of the sum's rows, each built as
+    its eta quotient.  The "bell" side builds each row by ``_bell_row`` and
+    checks n! times both values: by the exponential formula, n! [x^n] of a
+    row is scale (n!/(n-shift)!) B_(n-shift)(1! c_1, 2! c_2, ...), so
+    ``BELL_IDENTITY`` is the theorem of :mod:`qbell.identity`.  The
+    "congruence" side checks each family's residues against 0 on a table of
+    p(n) mod the moduli's lcm from ``partition_residues``, not the exact
+    table.  The side and the size are checked, then the largest p(n) is
+    read, which checks its bound and fills its table, before other work.
     """
     first = SMALLEST_SIZE.get(check.side)
     if first is None:
-        raise ValueError(f"side must be 'bell' or 'product', not {check.side!r}")
-    bell = check.side == "bell"
+        raise ValueError(f"side must be 'bell', 'product' or 'congruence', not {check.side!r}")
     if size < first:
         raise ValueError(f"{SIZE_NAME[check.side]} must be >= {first}")
+    if check.side == "congruence":
+        largest = max(m * size + r for m, r in check.sum)
+        residues = partition_residues(largest, lcm(*(m for m, _ in check.sum)))
+        rows = ((n, residues[n] % m, 0)
+                for m, r in check.sum for n in range(r, m * size + r + 1, m))
+        return VerificationReport.from_rows(check.label, rows)
+    bell = check.side == "bell"
     modulus, residue, eta_rows = check.sum
     partition_count(modulus * size + residue)  # the bound and a one-time fill, before the build
     build = _bell_row if bell else _eta_quotient  # looked up per call, so a patched builder runs

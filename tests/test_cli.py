@@ -34,6 +34,10 @@ def test_partition_command(capsys):
     assert run_cli(capsys, ["partition", "12"]) == (0, "77\n", "")
     assert run_cli(capsys, ["partition", "0"]) == (0, "1\n", "")
     assert run_cli(capsys, ["partition", "100"]) == (0, "190569292\n", "")
+    # an argument of exactly DIGIT_LIMIT digits is read, and n one past the table's limit is refused
+    assert run_cli(capsys, ["partition", "0" * (DIGIT_LIMIT - 1) + "5"]) == (0, "7\n", "")
+    err = "error: partition_count is capped at n <= 200000\n"
+    assert run_cli(capsys, ["partition", "200001"]) == (3, "", err)
 
 
 def test_sigma_command(capsys):
@@ -329,13 +333,12 @@ def stub_reports(monkeypatch):
         return report
 
     # the target name of each check row that the shared residue-class report is given
-    name_of = {target.check: target.name for target in cli._VERIFY_TARGETS if target.check}
+    name_of = {target.check: target.name for target in cli._VERIFY_TARGETS}
 
     def shared(check, size):
         return stub(name_of[check])(size)
 
     monkeypatch.setattr(cli.series, "residue_class_report", shared)
-    monkeypatch.setattr(cli.identity, "verify_congruences", stub("congruences"))
     return ran
 
 
@@ -397,17 +400,21 @@ def test_verify_all_exits_1_when_any_one_report_fails(capsys, monkeypatch, stub_
 def test_each_side_has_one_smallest_size(capsys, monkeypatch, stub_reports):
     # the library's report and the front end's lower bound read the same table entry
     monkeypatch.setitem(cli.series.SMALLEST_SIZE, "bell", 2)
-    with pytest.raises(ValueError, match="^max_n must be >= 2$"):
-        verify_theorem(1)
-    argv = ["verify", "theorem", "--max-n", "1"]
-    assert run_cli(capsys, argv) == (3, "", "error: max_n must be >= 2\n")
+    monkeypatch.setitem(cli.series.SMALLEST_SIZE, "congruence", 1)
+    for report, argv, name, low in [
+        (verify_theorem, ["verify", "theorem", "--max-n", "1"], "max_n", 2),
+        (verify_congruences, ["verify", "congruences", "--max-k", "0"], "max_k", 1),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must be >= {low}$"):
+            report(low - 1)
+        assert run_cli(capsys, argv) == (3, "", f"error: {name} must be >= {low}\n")
     assert stub_reports == []
 
 
 def test_each_size_has_one_name(capsys, monkeypatch, stub_reports):
     # the library's message, the front end's flag and its message read the same name
     monkeypatch.setitem(cli.series.SIZE_NAME, "bell", "largest_n")
-    monkeypatch.setattr(cli.identity, "SWEEP_SIZE_NAME", "largest_k")
+    monkeypatch.setitem(cli.series.SIZE_NAME, "congruence", "largest_k")
     for report, argv, name, low in [
         (verify_theorem, ["verify", "theorem", "--largest-n", "0"], "largest_n", 1),
         (verify_congruences, ["verify", "congruences", "--largest-k", "-1"], "largest_k", 0),
@@ -435,7 +442,7 @@ def test_verify_runs_at_its_cap(capsys, stub_reports):
 
 @pytest.mark.parametrize(
     "target",
-    [target for target in cli._VERIFY_TARGETS if target.check and target.check.side == "bell"],
+    [target for target in cli._VERIFY_TARGETS if target.check.side == "bell"],
     ids=lambda target: target.name,
 )
 def test_bell_side_cap_is_the_last_printable_n(target):

@@ -1,4 +1,4 @@
-"""The headline identity and the classical congruence sweep."""
+"""The headline identity and the classical congruences."""
 
 import json
 import math
@@ -142,7 +142,7 @@ def test_congruence_report_fails_at_a_shifted_partition_count(monkeypatch, capsy
         residues[12] += 1
         return residues
 
-    monkeypatch.setattr(qbell.identity, "partition_residues", shifted_residues)
+    monkeypatch.setattr(qbell.series, "partition_residues", shifted_residues)
     max_k = 10
     report = verify_congruences(max_k)
     # p(7k+5) is the second family of max_k + 1 entries; 12 = 7*1 + 5
@@ -193,7 +193,7 @@ def test_congruence_report_leaves_the_shared_partition_table_alone(monkeypatch):
     def refuse(n):
         raise AssertionError(f"partition_count({n}) called by the congruence report")
 
-    monkeypatch.setattr(qbell.identity, "partition_count", refuse)
+    monkeypatch.setattr(qbell.series, "partition_count", refuse)
     assert verify_congruences(1000).overall_pass
     assert partitions._table == [1]
 

@@ -257,6 +257,30 @@ def test_the_widest_product_slot_is_reached():
     assert partitions._slot_width(count * (largest - 1)) < 8
 
 
+@pytest.mark.parametrize(
+    "modulus, widths",
+    [
+        (9, (2, 2)),  # the push bound 36 * 8 = 288 needs 2 bytes, and 36 * 7 would fit in 1
+        (13, (2, 3)),  # the product bound 512 * 12^2 = 73728 needs 3 bytes, and 512 * 11^2 fits 2
+    ],
+)
+def test_slot_bounds_are_the_largest_slot_sums(monkeypatch, modulus, widths):
+    # Real residues never fill a slot to its bound, so the bounds are read where they are sized:
+    # a push slot sums one residue per offset, 36 offsets up to 511, and a product slot C products.
+    bounds = []
+    slot_width = partitions._slot_width
+
+    def recorded(bound):
+        bounds.append(bound)
+        return slot_width(bound)
+
+    monkeypatch.setattr(partitions, "_slot_width", recorded)
+    assert partitions._CHUNK == 512 and len(partitions.pentagonal_numbers(511)) == 36
+    assert partition_residues(511, modulus) == [p % modulus for p in pentagonal_oracle()[:512]]
+    assert bounds == [36 * (modulus - 1), 512 * (modulus - 1) ** 2]
+    assert tuple(map(slot_width, bounds)) == widths
+
+
 @pytest.mark.parametrize("width", SLOT_WIDTHS)
 @settings(deadline=None, max_examples=25)
 @given(data=st.data())

@@ -382,7 +382,7 @@ def test_series_reports_refuse_a_size_before_building_a_series(
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("side", ["Bell", "products", ""])
+@pytest.mark.parametrize("side", ["Bell", "products", "congruences", ""])
 def test_residue_class_report_refuses_an_unknown_side(monkeypatch, side):
     # a mistyped side is refused, not run as the product side, before the table fills
     def unbuilt(row, order):
@@ -392,7 +392,7 @@ def test_residue_class_report_refuses_an_unknown_side(monkeypatch, side):
     monkeypatch.setattr(qbell.series, "_bell_row", unbuilt)
     monkeypatch.setattr(partitions, "_table", [1])
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="side must be 'bell' or 'product'"):
+    with pytest.raises(ValueError, match="side must be 'bell', 'product' or 'congruence', not"):
         residue_class_report(ResidueCheck("p5k4-bell", SUM_5K4, side), 40)
     assert time.perf_counter() - start < 1.0
     assert partitions._table == [1]
