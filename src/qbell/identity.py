@@ -13,9 +13,12 @@ By the exponential formula (Comtet, *Advanced Combinatorics*, 1974, 3.3),
     B_n(1! y_1, ..., n! y_n) = n! a_n,  sum_n a_n t^n = exp(sum_i y_i t^i),
 
 and with y = d the series is G/7, with y = e it is H/(49x): the weights
-i d_i and i e_i are the G and H rows' small ints, so the kernel runs over
-ints of O(sqrt(n)) bits (208 at n = 1024), where the binomial Bell
-recurrence of :mod:`qbell.bell` carries B_n = n! a_n (8977 bits).
+i d_i and i e_i are the G and H rows' small non-negative ints, so the exp
+kernel of :mod:`qbell.series` solves the recurrence of the a_n by divide
+and conquer on packed products, over ints of O(sqrt(n)) bits (208 at
+n = 1024), where the binomial Bell recurrence of :mod:`qbell.bell`
+carries B_n = n! a_n (8977 bits).  A wrong weight that makes some a_n a
+fraction sends the row to the step-by-step loop, so the report shows it.
 :func:`qbell.bell.complete_bell_sequence` stays the oracle that the tests
 hold this route to.  The right side reads the exact partition table of
 ``partition_count``.

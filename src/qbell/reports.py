@@ -102,7 +102,9 @@ def write_json(payload, file) -> None:
     This writer writes each entry as it renders it, from fixed pieces around
     its ``CheckEntry`` fields.  The label is escaped by the encoder's own
     ``encode_basestring_ascii``; ``format_exact`` yields only a sign, digits
-    and "/", which need no escaping.
+    and "/", which need no escaping.  Equal values have one canonical text,
+    so an entry whose values are equal renders it once and writes it twice;
+    the values are compared, not ``passed``.
     """
     if isinstance(payload, VerificationReport):
         reports, newline, separator, closing = (payload,), "\n", "", ""
@@ -124,8 +126,10 @@ def write_json(payload, file) -> None:
         separator = ",\n  "
         opening = "["
         for entry in report.entries:
-            file.write(f"{opening}{head}{entry.index}{lhs}{format_exact(entry.computed)}"
-                       f"{rhs}{format_exact(entry.expected)}{tails[entry.passed]}")
+            computed = format_exact(entry.computed)
+            expected = computed if entry.computed == entry.expected else format_exact(entry.expected)
+            file.write(f"{opening}{head}{entry.index}{lhs}{computed}{rhs}{expected}"
+                       f"{tails[entry.passed]}")
             opening = ","
         file.write(f"{inner}]{newline}}}" if report.entries else f"[]{newline}}}")
     file.write(closing)

@@ -536,6 +536,9 @@ def test_bell_argument_check_passes_results_within_the_limit(capsys):
         (["bell", "1000", *["0"] * 999, "1/32767"], False),  # u = 15 + 1/1000
         (["bell", "1000", *["0"] * 999, "1/65535"], True),  # u = 16 + 1/1000
         (["bell", "1000", *["0"] * 998, "1/255", "1/511"], True),  # b alone: 17 bits
+        # the exact bound: 603^2 (302 + 12987) = 302 * 1.6e7 + 1, and one bit less passes
+        (["bell", "603", *["0"] * 301, format_exact(2**12986), *["0"] * 301], True),
+        (["bell", "603", *["0"] * 301, format_exact(2**12985), *["0"] * 301], False),
     ],
 )
 def test_bell_argument_check_runs_before_any_work(capsys, monkeypatch, argv, refused):

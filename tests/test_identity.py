@@ -125,15 +125,28 @@ def test_theorem_report_fails_from_a_shifted_d7(monkeypatch, capsys, shift, lhs_
     # The G weight 7 d_7 shifted by 1 shifts d_7 by 1/7, and 7! * (1/7) keeps
     # the Bell argument an integer, so only lhs == rhs can fail; shifted by
     # 1/1440, d_7 moves by 1/(2 * 7!) and the left side is no longer an integer.
-    monkeypatch.setattr(
-        qbell.series, "_weight", lambda i, row: _weight(i, row) + shift * (i == 7 and row == G)
-    )
-    report = verify_theorem(10)
-    failure = report.failures()[0]
-    assert failure.index == 7
-    assert failure.computed.denominator == lhs_denominator
-    assert failure.computed != failure.expected
-    assert_cli_fails(["verify", "theorem", "--max-n", "10"], capsys)
+    # An integral shift stays an int, so the packed exp route meets the
+    # remainder; a fractional one sends the row to the step-by-step loop.
+    bump = int(shift) if shift.denominator == 1 else shift
+    # 100 lies past the exp leaf, and 100! (d_100 shifted by 1/100 or 1/144000) is whole
+    for index, max_n, denominator in [(7, 10, lhs_denominator), (100, 120, 1)]:
+        monkeypatch.setattr(
+            qbell.series, "_weight",
+            lambda i, row: _weight(i, row) + (bump if i == index and row == G else 0),
+        )
+        failure = verify_theorem(max_n).failures()[0]
+        assert failure.index == index
+        assert failure.computed.denominator == denominator
+        assert failure.computed != failure.expected
+        assert_cli_fails(["verify", "theorem", "--max-n", str(max_n)], capsys)
+
+
+def test_theorem_rows_never_fall_back_to_the_exp_loop(monkeypatch):
+    def loop(ws):
+        raise AssertionError("a theorem row left the packed exp route")
+
+    monkeypatch.setattr(qbell.series, "_exp_loop", loop)
+    assert verify_theorem(384).overall_pass
 
 
 def test_congruence_report_fails_at_a_shifted_partition_count(monkeypatch, capsys):

@@ -17,7 +17,9 @@ from conftest import int_max_str_digits
 
 from qbell import cli, series
 from qbell.identity import verify_congruences
-from qbell.reports import DIGIT_LIMIT, VerificationReport, format_exact, parse_exact, write_json
+from qbell.reports import (
+    DIGIT_LIMIT, CheckEntry, VerificationReport, format_exact, parse_exact, write_json,
+)
 
 
 def _written(payload) -> str:
@@ -79,6 +81,14 @@ def test_writer_renders_a_failing_entry_with_both_exact_values():
         "  ]\n"
         "}"
     )
+
+
+def test_writer_renders_both_values_whatever_passed_says():
+    # the writer renders a value once only when the two are equal, not when passed is true
+    entries = (CheckEntry(5, 2, 3, True), CheckEntry(6, 1, Fraction(1), False))
+    report = VerificationReport("check", entries)
+    assert _written(report) == _oracle(report)
+    assert '"lhs": "2",' in _written(report) and '"rhs": "3",' in _written(report)
 
 
 class _Sink:

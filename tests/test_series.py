@@ -228,6 +228,46 @@ def test_exp_turns_sums_into_products(a, b):
     assert (a + b).exp() == a.exp() * b.exp()
 
 
+def test_bell_rows_equal_their_eta_quotients_at_full_depth(monkeypatch):
+    def loop(ws):
+        raise AssertionError("a row left the packed exp route")
+
+    monkeypatch.setattr(qbell.series, "_exp_loop", loop)
+    for row in (G, H, P5K4):
+        assert qbell.series._bell_row(row, 1523) == qbell.series._eta_quotient(row, 1523)
+
+
+def _euler_weights(exponents):
+    """Weights w_n = sum_{k | n} k a_k: exp of their series is prod_k (1 - x^k)^(-a_k), all ints."""
+    return [sum(k * a for k, a in enumerate(exponents[:n], 1) if n % k == 0)
+            for n in range(1, len(exponents) + 1)]
+
+
+_exp_lengths = st.integers(0, 3 * qbell.series._LEAF + 9)
+_exp_weights = st.one_of(
+    # integral E_n: the packed route runs to the end, on values past 8 bytes
+    _exp_lengths.flatmap(lambda n: st.lists(
+        st.one_of(st.integers(0, 3), st.integers(0, 2**80)), min_size=n, max_size=n)
+    ).map(_euler_weights),
+    # mostly a fractional E_n: a remainder sends the whole list to the loop
+    _exp_lengths.flatmap(lambda n: st.lists(st.integers(0, 10**6), min_size=n, max_size=n)),
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(ws=_exp_weights)
+def test_exp_kernel_equals_the_loop(ws):
+    expected = qbell.series._exp_loop(ws)
+    kernel = qbell.series._exp(ws)
+    assert kernel == expected
+    assert_canonical(kernel)
+    solved = [1, *ws]
+    integral = all(type(value) is int for value in expected)
+    assert qbell.series._exp_range(ws, solved, 1, len(solved)) == integral
+    if integral:
+        assert solved == expected
+
+
 def test_log_and_exp_domain_checks():
     with pytest.raises(ValueError):
         TruncatedSeries([2, 1]).log()
