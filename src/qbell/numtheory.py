@@ -9,6 +9,7 @@ The paper's 7-adic form of the same values is kept as a check:
 to it, and no production path calls them.
 """
 
+from array import array
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -25,9 +26,10 @@ __all__ = [
     "e_coefficient",
 ]
 
-# Largest n that sigma accepts.  A miss divides by at most the 168 primes up to
-# isqrt(SIGMA_LIMIT) = 1000, plus once per repeated prime factor, and the cache
-# holds at most 10^6 entries (about 103 MB when full).
+# Largest n that sigma accepts.  A miss reads one block of 1024 divisor sums, sieved
+# on the first read of any of its n over the 168 primes up to isqrt(SIGMA_LIMIT) =
+# 1000; the blocks take at most 977 x 4 KB (about 4 MB), and the cache holds at most
+# 10^6 entries (about 103 MB when full).
 SIGMA_LIMIT = 10**6
 
 
@@ -43,40 +45,62 @@ def _primes_to(limit: int) -> tuple[int, ...]:
 
 _PRIMES = _primes_to(isqrt(SIGMA_LIMIT))
 
+# Block b holds sigma(n) for b * 1024 <= n < (b + 1) * 1024 at slot n & 1023 (block 0's
+# slot 0 reads 0), as 4-byte unsigned ints: sigma(n) < 2^32 for every n <= SIGMA_LIMIT.
+_sigma_blocks = [None] * ((SIGMA_LIMIT >> 10) + 1)
+
+
+def _sigma_block(b: int) -> array:
+    """sigma(n) for the n of block b, by a segmented sieve over the block's prime factors.
+
+    Each n starts from its 2-adic part 2^v = n & -n, with term sigma(2^v) = 2 * 2^v - 1.
+    Each odd prime p <= isqrt(hi - 1) is stripped from the multiples of p in the
+    block, which gain the term sigma(p^k) = 1 + p + ... + p^k (sigma is
+    multiplicative); a cofactor above 1 is then one prime q, with term q + 1.  The
+    last block stops at SIGMA_LIMIT.
+    """
+    lo = b << 10
+    hi = min(lo + 1024, SIGMA_LIMIT + 1)
+    first = lo or 1
+    sums = [2 * (n & -n) - 1 for n in range(first, hi)]
+    rest = [n // (n & -n) for n in range(first, hi)]
+    root = isqrt(hi - 1)
+    for p in _PRIMES[1:]:
+        if p > root:
+            break
+        for i in range(-first % p, hi - first, p):
+            q = rest[i] // p
+            term = p + 1
+            while not q % p:
+                q //= p
+                term = term * p + 1
+            rest[i] = q
+            sums[i] *= term
+    sums = [s * (q + 1) if q > 1 else s for s, q in zip(sums, rest)]
+    return array("I", [0] * (first - lo) + sums)
+
 
 @lru_cache(maxsize=None)
 def sigma(n: int) -> int:
     """Sum of all positive divisors of n, including 1 and n, for 1 <= n <= SIGMA_LIMIT.
 
-    Memoized.  A miss factors n over the primes up to isqrt(SIGMA_LIMIT),
-    stopping once p^2 exceeds what is left of n, and multiplies the terms
-    sigma(p^k) = 1 + p + ... + p^k of its prime powers (sigma is
-    multiplicative); a cofactor above 1 is then one prime q, with term
-    q + 1.  The cap is checked inside the cached function, so a cache hit
-    pays nothing for it, and it bounds both the cost of a miss and the size
-    of the cache.  Raises ``ValueError`` for n < 1 and for n > SIGMA_LIMIT,
-    and ``TypeError`` for a non-integer n.
+    Memoized.  A miss reads slot n & 1023 of block n >> 10, which
+    ``_sigma_block`` sieves the first time any of its n is read; the block
+    is built whole and then published by one list store, so threads that
+    race on a block store equal values.  The cap is checked inside the
+    cached function, so a cache hit pays nothing for it, and it bounds the
+    block table and the size of the cache.  Raises ``ValueError`` for n < 1
+    and for n > SIGMA_LIMIT, and ``TypeError`` for a non-integer n.
     """
     if n < 1:
         raise ValueError("sigma is defined for n >= 1")
     if n > SIGMA_LIMIT:
         raise ValueError(f"sigma is capped at n <= {SIGMA_LIMIT}")
     n = index(n)
-    total = 1
-    for p in _PRIMES:
-        if p * p > n:
-            break
-        if n % p == 0:
-            n //= p
-            power, term = p, 1 + p
-            while n % p == 0:
-                n //= p
-                power *= p
-                term += power
-            total *= term
-    if n > 1:
-        total *= n + 1
-    return total
+    block = _sigma_blocks[n >> 10]
+    if block is None:
+        block = _sigma_blocks[n >> 10] = _sigma_block(n >> 10)
+    return block[n & 1023]
 
 
 class SevenAdicSplit(namedtuple("SevenAdicSplit", "exponent coprime")):

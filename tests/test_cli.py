@@ -606,16 +606,18 @@ def test_closed_stdout_ends_the_process_by_sigpipe():
 
 
 def test_importing_the_front_end_does_no_work():
-    # no cap is computed at import: the partition table and the sigma cache stay empty
+    # no cap is computed at import: the partition table, the sigma cache and the
+    # sigma block table stay empty
     check = (
         "import qbell.cli\n"
         "from qbell import numtheory, partitions\n"
-        "print(len(partitions._table), numtheory.sigma.cache_info().currsize)\n"
+        "print(len(partitions._table), numtheory.sigma.cache_info().currsize,\n"
+        "      sum(block is not None for block in numtheory._sigma_blocks))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", check], capture_output=True, text=True, check=True
     )
-    assert proc.stdout == "1 0\n"
+    assert proc.stdout == "1 0 0\n"
 
 
 def test_importing_the_front_end_loads_only_what_it_runs():

@@ -47,7 +47,7 @@ def divisor_sums() -> tuple[int, ...]:
 
 @pytest.mark.parametrize(
     "n, expected",
-    [(1, 1), (6, 12), (12, 28), (28, 56), (49, 57), (100, 217), (720, 2418), (5040, 19344)],
+    [(1, 1), (True, 1), (6, 12), (12, 28), (28, 56), (49, 57), (100, 217), (720, 2418), (5040, 19344)],
 )
 def test_sigma_known_values(n, expected):
     assert sigma(n) == expected
@@ -70,8 +70,16 @@ def test_sigma_matches_sympy_at_seeded_indices():
         assert sigma(n) == int(divisor_sigma(n))
 
 
-def test_sigma_miss_body_matches_divisor_sieve():
-    # the uncached body, so that hits left by other tests hide nothing
+@pytest.fixture
+def empty_blocks(monkeypatch):
+    """A fresh, empty sigma block table for the test; the shared one comes back after it."""
+    blocks = [None] * len(numtheory._sigma_blocks)
+    monkeypatch.setattr(numtheory, "_sigma_blocks", blocks)
+    return blocks
+
+
+def test_sigma_miss_body_matches_divisor_sieve(empty_blocks):
+    # the uncached body on an empty block table, so that hits left by other tests hide nothing
     sums = divisor_sums()
     assert [sigma.__wrapped__(n) for n in range(1, SIEVE_LIMIT + 1)] == list(sums[1:])
 
@@ -84,21 +92,35 @@ def test_sigma_miss_body_matches_divisor_sieve():
         (991 * 997, (991 + 1) * (997 + 1)),  # the last two listed primes: 988027
         (999983, 999984),  # the largest prime below 10^6: all cofactor
         (2 * 499979, 3 * 499980),  # a small prime times a prime cofactor
-        (10**6, 127 * 19531),  # sigma(2^6) sigma(5^6)
+        (10**6, 127 * 19531),  # sigma(2^6) sigma(5^6), the last slot of the clipped last block
+        # the last slot of block 0, both ends of block 1 and the first slot of block 2
+        (1023, 4 * 12 * 32),  # 3 * 11 * 31
+        (1024, 2047),
+        (1025, 31 * 42),  # 5^2 * 41
+        (2047, 24 * 90),  # 23 * 89
+        (2048, 4095),
     ],
 )
-def test_sigma_miss_body_at_the_prime_list_end_and_cofactor(n, expected):
+def test_sigma_miss_body_at_the_prime_list_end_and_cofactor(empty_blocks, n, expected):
     assert sigma.__wrapped__(n) == expected
 
 
-def test_sigma_miss_body_fails_without_the_last_prime(monkeypatch):
+def test_one_sigma_at_the_cap_fills_one_block(empty_blocks):
+    assert sigma.__wrapped__(SIGMA_LIMIT) == 127 * 19531
+    filled = [b for b, block in enumerate(empty_blocks) if block is not None]
+    assert filled == [SIGMA_LIMIT >> 10]
+    assert len(empty_blocks[-1]) == SIGMA_LIMIT + 1 - (SIGMA_LIMIT >> 10 << 10)
+
+
+def test_sigma_miss_body_fails_without_the_last_prime(monkeypatch, empty_blocks):
+    # the block of 997^2 is sieved afresh without 997, and dropped with the fresh table
     monkeypatch.setattr(numtheory, "_PRIMES", tuple(p for p in numtheory._PRIMES if p != 997))
     assert sigma.__wrapped__(997**2) != 995007
 
 
-def test_concurrent_misses_match_the_sieve():
-    # Threads race on an emptied cache over overlapping ranges while the
-    # interpreter switches threads as often as it can.
+def test_concurrent_misses_match_the_sieve(empty_blocks):
+    # Threads race on an emptied cache and an emptied block table over
+    # overlapping ranges while the interpreter switches threads as often as it can.
     sums = divisor_sums()
     sigma.cache_clear()
     workers = 4
@@ -128,6 +150,12 @@ def test_concurrent_misses_match_the_sieve():
 @pytest.mark.parametrize("bad", [0, -1, -12])
 def test_sigma_rejects_nonpositive(bad):
     with pytest.raises(ValueError):
+        sigma(bad)
+
+
+@pytest.mark.parametrize("bad", [2.0, "3", Fraction(6)])
+def test_sigma_rejects_non_integers(bad):
+    with pytest.raises(TypeError):
         sigma(bad)
 
 
