@@ -53,7 +53,8 @@ class TruncatedSeries:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Iterable = (), order: int | None = None):
-        coeffs = [_quotient(c) for c in coefficients]
+        # an int is its own normal form; only other values pass through _quotient
+        coeffs = [c if type(c) is int else _quotient(c) for c in coefficients]
         if order is None:
             if not coeffs:
                 raise ValueError("need coefficients or an explicit order")
@@ -344,10 +345,17 @@ def euler_product(order: int) -> TruncatedSeries:
 
 
 def _eta_quotient(row: EtaQuotient, order: int) -> TruncatedSeries:
-    """A row scale x^shift E(x^r)^a E(x)^-b through x^order; order < 0 fails in euler_product."""
+    """A row scale x^shift E(x^r)^a E(x)^-b through x^order; order < 0 fails in euler_product.
+
+    E(x^r)^a is E(y)^a through y^(order // r), spread to the exponents r i:
+    the same coefficients, for r times less work in Miller's recurrence,
+    which costs order times the nonzero terms of the base.
+    """
     e1 = euler_product(order)
     front = TruncatedSeries.monomial(row.shift, order, row.scale)
-    return front * (e1.substitute_power(row.r) ** row.a) * (e1 ** -row.b)
+    spread = [0] * (order + 1)
+    spread[::row.r] = (euler_product(order // row.r) ** row.a).coefficients
+    return front * TruncatedSeries(spread) * (e1 ** -row.b)
 
 
 def series_g(order: int) -> TruncatedSeries:

@@ -1,5 +1,6 @@
 """Command line behaviour: output formats, JSON reports, exit codes."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -182,6 +183,51 @@ def test_verify_help_bytes_are_pinned(capsys, monkeypatch, argv, digest):
     code, out, err = run_cli(capsys, argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--help"], "1cc2bc30f3a1d6dbdce1d55cf581f6c5e38ab6b73298393cd095026ee5a9d86a"),
+        (["partition", "--help"],
+         "8ffbfd0ff4246af2d73cac6e10faf3335bc7bf1fbafcd6fccaf773838c2335ec"),
+        (["sigma", "--help"], "ea29d225ca7c0a01cbc59a0c5b109f15482ab9d571b3f8decf47440a01028c12"),
+        (["coeff", "--help"], "c9e4a47653036ed51dd42c4beef42260ae11a4842b2be1e5e9bb54b89025dcbe"),
+        (["bell", "--help"], "dfa2356b0b76b306a984d2366682d1bd9086c1a204fdc68fa6659fdca3919907"),
+        (["series", "--help"],
+         "21b0aa261beae0112a28221320ffc483ccbf129117bc05201af71d8bae45cb75"),
+    ],
+)
+def test_command_help_bytes_are_pinned(capsys, monkeypatch, argv, digest):
+    # the top-level help lists each subparser's name and help without building it
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_unknown_command_usage_error_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    err = (
+        "usage: qbell [-h] {partition,sigma,coeff,bell,series,verify} ...\n"
+        "qbell: error: argument command: invalid choice: 'nope' (choose from 'partition', "
+        "'sigma', 'coeff', 'bell', 'series', 'verify')\n"
+    )
+    assert run_cli(capsys, ["nope"]) == (2, "", err)
+
+
+def test_a_run_builds_only_the_parsers_on_its_argv_path(capsys, monkeypatch):
+    # the top-level parser, verify's and theorem's: none of the other nine subparsers
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run_cli(capsys, ["verify", "theorem", "--max-n", "1"])[0] == 0
+    assert built == ["qbell", "qbell verify", "qbell verify theorem"]
 
 
 def test_verify_all_emits_array(capsys):

@@ -67,6 +67,13 @@ def test_construction_and_accessors():
         s[-1]
 
 
+def test_construction_normalises_every_non_int_coefficient():
+    # an int is stored as given; a bool or an integral Fraction becomes its int
+    s = TruncatedSeries([True, Fraction(4, 2), Fraction(-3, 1), Fraction(1, 2)])
+    assert s.coefficients == (1, 2, -3, Fraction(1, 2))
+    assert [type(c) for c in s.coefficients] == [int, int, int, Fraction]
+
+
 def test_named_constructors():
     assert TruncatedSeries.zero(3).coefficients == (0, 0, 0, 0)
     assert TruncatedSeries.one(2).coefficients == (1, 0, 0)
@@ -342,6 +349,17 @@ def test_every_table_sum_counts_partitions_in_its_residue_class(target):
     total = sum(rows, TruncatedSeries.zero(40))
     for n in range(41):
         assert total[n] == partition_count(target.modulus * n + target.residue)
+
+
+@pytest.mark.parametrize("row", [G, H, P5K4], ids=["G", "H", "P5K4"])
+def test_eta_quotient_equals_its_product_at_full_order(row):
+    # the oracle raises E(x^r) itself at order k, where the builder raises E(y) at order k // r:
+    # every k below r, each residue of k mod r, and a verify-sized order
+    for k in [*range(3 * row.r + 3), 400]:
+        e1 = euler_product(k)
+        full = (TruncatedSeries.monomial(row.shift, k, row.scale)
+                * (e1.substitute_power(row.r) ** row.a) * (e1 ** -row.b))
+        assert qbell.series._eta_quotient(row, k) == full, k
 
 
 # -- log-coefficient extraction ----------------------------------------------
