@@ -8,9 +8,6 @@ across runs.
 Each subparser declares its handler ``run`` (returning the exit code, None
 for 0) and its ``bounds``, rows of (label, dest, smallest or None, largest)
 accepted size; ``main`` checks every bound before it calls the handler.
-A subparser's ``declare`` function adds its arguments and these defaults
-when the parser is first used, so a run builds only the parsers on its
-argv's path.
 
 Exit codes: 0 success or verified, 1 a verification entry failed, 2 usage
 or parse error, 3 precondition violation, a size past its cap included.
@@ -80,10 +77,6 @@ class _Target(namedtuple("_Target", "name help check cap")):
         # read when the parser is built, so a patched table entry is the bound
         return series.SMALLEST_SIZE[self.check.side]
 
-    def declare(self, p: argparse.ArgumentParser) -> None:
-        p.add_argument(self.flag, type=_parse_int, required=True)
-        _declare_reports(p, [self])
-
 
 _VERIFY_TARGETS = (
     _Target("theorem", "Bell-polynomial identity for n! p(7n+5)", series.BELL_IDENTITY, 1523),
@@ -118,92 +111,61 @@ def parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"zero denominator: {text!r}") from None
 
 
-class _Deferred:
-    """A subparser built when it is first used: ``add_subparsers``'s ``parser_class``.
-
-    ``add_parser(name, help=..., declare=fn)`` passes argparse's own keyword
-    arguments and ``declare`` here.  argparse's subparser action calls only
-    ``parse_known_args``, which builds the ``ArgumentParser``, runs
-    ``declare`` on it and parses.
-    """
-
-    def __init__(self, declare, **kwargs):
-        self._declare, self._kwargs = declare, kwargs
-
-    def parse_known_args(self, args=None, namespace=None):
-        parser = argparse.ArgumentParser(**self._kwargs)
-        self._declare(parser)
-        return parser.parse_known_args(args, namespace)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qbell",
         description="Exact Bell polynomials, partition counts, divisor sums, "
         "and truncated q-series, with identity verification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Deferred)
-    sub.add_parser("partition", help="print p(n)", declare=_declare_partition)
-    sub.add_parser("sigma", help="print the sum of divisors of n", declare=_declare_sigma)
-    sub.add_parser("coeff", help="print the coefficient d_n or e_n", declare=_declare_coeff)
-    sub.add_parser(
-        "bell",
-        help="print the complete Bell polynomial B_n(x1, ..., xn)",
-        description="Arguments are exact rationals, written num or num/den.",
-        declare=_declare_bell,
-    )
-    sub.add_parser("series", help="print a truncated series, one coefficient per line",
-                   declare=_declare_series)
-    sub.add_parser("verify", help="run a verification report (JSON on stdout)",
-                   declare=_declare_verify)
-    return parser
+    sub = parser.add_subparsers(dest="command", required=True)
 
-
-def _declare_partition(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("partition", help="print p(n)")
     p.add_argument("n", type=_parse_int)
     p.set_defaults(run=lambda args: print(partition_count(args.n)), bounds=())
 
-
-def _declare_sigma(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("sigma", help="print the sum of divisors of n")
     p.add_argument("n", type=_parse_int)
     p.set_defaults(run=lambda args: print(sigma(args.n)), bounds=())
 
-
-def _declare_coeff(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("coeff", help="print the coefficient d_n or e_n")
     p.add_argument("which", choices=("d", "e"))
     p.add_argument("n", type=_parse_int)
     p.set_defaults(run=_cmd_coeff, bounds=())
 
+    bell = sub.add_parser(
+        "bell",
+        help="print the complete Bell polynomial B_n(x1, ..., xn)",
+        description="Arguments are exact rationals, written num or num/den.",
+    )
+    bell.add_argument("n", type=_parse_int)
+    bell.add_argument("xs", nargs=argparse.REMAINDER, metavar="x")
+    bell.set_defaults(run=lambda args: _cmd_bell(bell, args),
+                      bounds=[("bell n", "n", None, _BELL_MAX_N)])
 
-def _declare_bell(p: argparse.ArgumentParser) -> None:
-    p.add_argument("n", type=_parse_int)
-    p.add_argument("xs", nargs=argparse.REMAINDER, metavar="x")
-    p.set_defaults(run=lambda args: _cmd_bell(p, args),
-                   bounds=[("bell n", "n", None, _BELL_MAX_N)])
-
-
-def _declare_series(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser(
+        "series", help="print a truncated series, one coefficient per line"
+    )
     p.add_argument("which", choices=tuple(_SERIES))
     p.add_argument("--order", type=_parse_int, required=True)
     # the same G and H as verify eq3, so the same cap
     cap = _order_cap(series.P7N5_SERIES)
     p.set_defaults(run=_cmd_series, bounds=[("series --order", "order", None, cap)])
 
-
-def _declare_verify(p: argparse.ArgumentParser) -> None:
-    vsub = p.add_subparsers(dest="target", required=True, parser_class=_Deferred)
+    v = sub.add_parser("verify", help="run a verification report (JSON on stdout)")
+    vsub = v.add_subparsers(dest="target", required=True)
     for target in _VERIFY_TARGETS:
-        vsub.add_parser(target.name, help=target.help, declare=target.declare)
-    vsub.add_parser("all", help="every verification at full scale", declare=_declare_all)
-
-
-def _declare_all(p: argparse.ArgumentParser) -> None:
+        p = vsub.add_parser(target.name, help=target.help)
+        p.add_argument(target.flag, type=_parse_int, required=True)
+        _declare_verify(p, [target])
+    p = vsub.add_parser("all", help="every verification at full scale")
     for flag, size in _VERIFY_ALL_SIZES.items():
         p.add_argument(flag, type=_parse_int, default=size)
-    _declare_reports(p, _VERIFY_TARGETS)
+    _declare_verify(p, _VERIFY_TARGETS)
+
+    return parser
 
 
-def _declare_reports(p: argparse.ArgumentParser, targets) -> None:
+def _declare_verify(p: argparse.ArgumentParser, targets) -> None:
     bounds = [(f"verify {t.name} {t.flag}", t.size, t.smallest, t.cap) for t in targets]
     p.set_defaults(run=_cmd_verify, targets=targets, bounds=bounds)
 

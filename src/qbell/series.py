@@ -353,9 +353,8 @@ def _eta_quotient(row: EtaQuotient, order: int) -> TruncatedSeries:
     """
     e1 = euler_product(order)
     front = TruncatedSeries.monomial(row.shift, order, row.scale)
-    spread = [0] * (order + 1)
-    spread[::row.r] = (euler_product(order // row.r) ** row.a).coefficients
-    return front * TruncatedSeries(spread) * (e1 ** -row.b)
+    power = TruncatedSeries((euler_product(order // row.r) ** row.a).coefficients, order)
+    return front * power.substitute_power(row.r) * (e1 ** -row.b)
 
 
 def series_g(order: int) -> TruncatedSeries:
