@@ -326,35 +326,96 @@ def _unpack_wide(number: int, count: int, width: int) -> list[int]:
 # -- named products -------------------------------------------------------
 
 
+def _pentagonal_terms(order: int) -> list[tuple[int, int]]:
+    """(g, coefficient of x^g in E(x)) for each generalized pentagonal g <= order, g increasing.
+
+    Euler's pentagonal number theorem: the coefficients run - - + + and repeat.
+    """
+    return [(g, 1 if i & 2 else -1) for i, g in enumerate(pentagonal_numbers(order))]
+
+
+def _jacobi_terms(order: int) -> list[tuple[int, int]]:
+    """(m(m+1)/2, (-1)^m (2m+1)) for m >= 1 with m(m+1)/2 <= order: E(x)^3 past its constant 1.
+
+    Jacobi's identity (Hardy & Wright, Thm 357):
+        (x;x)_inf^3 = sum_{m>=0} (-1)^m (2m+1) x^(m(m+1)/2).
+    """
+    terms, m = [], 1
+    while (j := m * (m + 1) // 2) <= order:
+        terms.append((j, -2 * m - 1 if m & 1 else 2 * m + 1))
+        m += 1
+    return terms
+
+
 def euler_product(order: int) -> TruncatedSeries:
     """(x;x)_inf = prod_{k>=1} (1 - x^k), exact through x^order.
 
     Built from the sparse pentagonal-number expansion
-        1 + sum_{k>=1} (-1)^k (x^{k(3k-1)/2} + x^{k(3k+1)/2}):
-    the signs of the generalized pentagonal numbers, in increasing order,
-    run - - + + and repeat.  Factors (1 - x^j) with j > order cannot touch
-    coefficients <= order, so the truncation at x^order is exact.
+        1 + sum_{k>=1} (-1)^k (x^{k(3k-1)/2} + x^{k(3k+1)/2})
+    that ``_pentagonal_terms`` lists.  Factors (1 - x^j) with j > order
+    cannot touch coefficients <= order, so the truncation at x^order is exact.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     coeffs = [0] * (order + 1)
     coeffs[0] = 1
-    for i, g in enumerate(pentagonal_numbers(order)):
-        coeffs[g] = -1 if i & 2 == 0 else 1
+    for g, sign in _pentagonal_terms(order):
+        coeffs[g] = sign
     return TruncatedSeries(coeffs)
 
 
-def _eta_quotient(row: EtaQuotient, order: int) -> TruncatedSeries:
-    """A row scale x^shift E(x^r)^a E(x)^-b through x^order; order < 0 fails in euler_product.
+def _divide_by_euler_power(coeffs: list[int], b: int) -> None:
+    """Divide coeffs, a series through x^(len(coeffs) - 1), by E(x)^b in place.
 
-    E(x^r)^a is E(y)^a through y^(order // r), spread to the exponents r i:
-    the same coefficients, for r times less work in Miller's recurrence,
-    which costs order times the nonzero terms of the base.
+    E^b is (E^3)^(b // 3) E^(b % 3), and each factor is one pass that
+    divides by a sparse series D with D_0 = 1,
+        out_n = N_n - sum_{j>=1} D_j out_(n-j),
+    over the nonzero D_j only, for n upwards.  No step divides, so ints stay
+    ints.  E^3's terms are Jacobi's; E's are +1 or -1, so its passes add and
+    subtract without a multiply.
     """
-    e1 = euler_product(order)
-    front = TruncatedSeries.monomial(row.shift, order, row.scale)
+    order = len(coeffs) - 1
+    cube = _jacobi_terms(order)
+    for _ in range(b // 3):
+        for n in range(1, order + 1):
+            acc = coeffs[n]
+            for j, d in cube:
+                if j > n:
+                    break
+                acc -= d * coeffs[n - j]
+            coeffs[n] = acc
+    euler = _pentagonal_terms(order)
+    added = [g for g, sign in euler if sign < 0]
+    subtracted = [g for g, sign in euler if sign > 0]
+    for _ in range(b % 3):
+        for n in range(1, order + 1):
+            acc = coeffs[n]
+            for j in added:
+                if j > n:
+                    break
+                acc += coeffs[n - j]
+            for j in subtracted:
+                if j > n:
+                    break
+                acc -= coeffs[n - j]
+            coeffs[n] = acc
+
+
+def _eta_quotient(row: EtaQuotient, order: int) -> TruncatedSeries:
+    """A row scale x^shift E(x^r)^a / E(x)^b through x^order; order < 0 fails in euler_product.
+
+    The numerator's E(x^r)^a is E(y)^a through y^(order // r), spread to the
+    exponents r i: the same coefficients, for r times less work in Miller's
+    recurrence.  ``_divide_by_euler_power`` then divides the numerator in
+    place by Jacobi's E^3 and by E, both sparse, so no dense E^-b is built
+    and no two dense series are multiplied.  ``inverse`` and negative powers
+    remain library API and the tests' oracle for this builder.
+    """
     power = TruncatedSeries((euler_product(order // row.r) ** row.a).coefficients, order)
-    return front * power.substitute_power(row.r) * (e1 ** -row.b)
+    coeffs = [0] * row.shift + [row.scale * c for c in power.substitute_power(row.r).coefficients]
+    del coeffs[order + 1:]
+    _divide_by_euler_power(coeffs, row.b)
+    return TruncatedSeries(coeffs)
 
 
 def series_g(order: int) -> TruncatedSeries:

@@ -362,6 +362,90 @@ def test_eta_quotient_equals_its_product_at_full_order(row):
         assert qbell.series._eta_quotient(row, k) == full, k
 
 
+def test_jacobi_terms_are_the_cube_of_the_euler_product():
+    # E(x)^3 through x^k is the cube through x^2000 cut at k, as the power of a truncated
+    # series reads no coefficient past its own; checked directly for the first few k
+    cube = euler_product(2000) ** 3
+    nonzero = [(n, c) for n, c in enumerate(cube.coefficients) if c and n]
+    for k in range(2001):
+        assert qbell.series._jacobi_terms(k) == [(n, c) for n, c in nonzero if n <= k], k
+    for k in range(40):
+        coeffs = [1] + [0] * k
+        for n, c in qbell.series._jacobi_terms(k):
+            coeffs[n] = c
+        assert TruncatedSeries(coeffs) == euler_product(k) ** 3, k
+
+
+def test_euler_pass_reads_the_nonzero_coefficients_of_the_euler_product():
+    for k in range(2001):
+        nonzero = [(n, c) for n, c in enumerate(euler_product(k).coefficients) if c and n]
+        assert qbell.series._pentagonal_terms(k) == nonzero, k
+    # and the product multiplied out factor by factor, over ints
+    direct = [1] + [0] * 2000
+    for j in range(1, 2001):
+        for i in range(2000, j - 1, -1):
+            direct[i] -= direct[i - j]
+    assert qbell.series._pentagonal_terms(2000) == [(n, c) for n, c in enumerate(direct) if c and n]
+
+
+def flipped_at(terms, offset):
+    """terms, a function of the order, with the sign of its term at x^offset flipped."""
+    def flipped(order):
+        return [(j, -d if j == offset else d) for j, d in terms(order)]
+    return flipped
+
+
+def first_failure(report, capsys, argv):
+    assert cli.main(argv) == (0 if report.overall_pass else 1)
+    assert json.loads(capsys.readouterr().out)["overallPass"] is report.overall_pass
+    return report.failures()[0].index if report.failures() else None
+
+
+def test_a_flipped_jacobi_term_fails_both_product_reports_from_its_index(monkeypatch, capsys):
+    # m = 3: -7 x^6 becomes +7 x^6; every row has b >= 3, so every row divides by E^3
+    monkeypatch.setattr(qbell.series, "_jacobi_terms", flipped_at(qbell.series._jacobi_terms, 6))
+    assert qbell.series._jacobi_terms(6)[-1] == (6, 7)
+    eq3 = first_failure(verify_p7n5_identity(400), capsys, ["verify", "eq3", "--order", "400"])
+    eq2 = first_failure(verify_p5k4_identity(400), capsys, ["verify", "eq2", "--order", "400"])
+    assert (eq3, eq2) == (6, 6)
+
+
+def test_a_flipped_pentagonal_term_fails_only_the_rows_with_an_euler_pass(monkeypatch, capsys):
+    # E's +x^5 becomes -x^5 in the E pass alone: the numerator reads euler_product, held here
+    # to its true values.  G (b = 4) and H (b = 8) run E passes; P5K4 (b = 6) runs none.
+    true_euler = euler_product(400)
+    monkeypatch.setattr(qbell.series, "euler_product",
+                        lambda order: TruncatedSeries(true_euler.coefficients, order))
+    monkeypatch.setattr(qbell.series, "_pentagonal_terms",
+                        flipped_at(qbell.series._pentagonal_terms, 5))
+    assert qbell.series._pentagonal_terms(5)[-1] == (5, -1)
+    eq3 = first_failure(verify_p7n5_identity(400), capsys, ["verify", "eq3", "--order", "400"])
+    eq2 = first_failure(verify_p5k4_identity(400), capsys, ["verify", "eq2", "--order", "400"])
+    assert (eq3, eq2) == (5, None)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: qbell.series._eta_quotient(G, -1),
+    lambda: qbell.series._eta_quotient(H, -1),
+    lambda: qbell.series._eta_quotient(P5K4, -1),
+    lambda: series_g(-1),
+    lambda: series_h(-1),
+    lambda: cli.main(["verify", "eq2", "--order", "-1"]),
+], ids=["G", "H", "P5K4", "series_g", "series_h", "verify-eq2"])
+def test_a_negative_order_is_refused_before_any_division(monkeypatch, capsys, build):
+    def unbuilt(*args):
+        raise AssertionError("did work for a refused order")
+
+    for name in ("_jacobi_terms", "_pentagonal_terms", "_divide_by_euler_power"):
+        monkeypatch.setattr(qbell.series, name, unbuilt)
+    try:
+        code = build()
+    except ValueError as refused:
+        assert str(refused) == "order must be >= 0"
+    else:
+        assert (code, capsys.readouterr().err) == (3, "error: order must be >= 0\n")
+
+
 # -- log-coefficient extraction ----------------------------------------------
 
 
