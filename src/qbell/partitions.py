@@ -53,8 +53,8 @@ def partition_count(n: int) -> int:
     table up to N costs O(N^1.5) big-integer additions.  It is filled in
     blocks of ``_BLOCK`` entries: each offset at least the block's width
     contributes one slice of the table, and the slices are added column by
-    column in C, so only the offsets below the block's width, O(N
-    sqrt(_BLOCK)) additions in all, run in the interpreter.  The fill
+    column in C, so only the offsets below its width, split once by sign,
+    O(N sqrt(_BLOCK)) additions in all, run in the interpreter.  The fill
     gains little when the table grows a few entries per call, so a caller
     that reads many indices fills it once, at its largest index, first.
     This exact table serves the Bell and product sides of the residue-class
@@ -218,7 +218,8 @@ def _fill_block(table: list[int], lo: int, hi: int, offsets: list[int]) -> None:
     """Append p(lo) .. p(hi - 1) to table, which holds p(0) .. p(lo - 1).
 
     offsets lists the generalized pentagonal numbers in increasing order, at
-    least every one below hi.
+    least every one below hi.  Those below the block's width are split by
+    sign once, into added and subtracted, and each entry reads both.
     """
     width = hi - lo
     small = bisect_left(offsets, width)
@@ -235,15 +236,17 @@ def _fill_block(table: list[int], lo: int, hi: int, offsets: list[int]) -> None:
             shifted = [0] * (g - lo) + table[: hi - g]
         (minus if i & 2 else plus).append(shifted)
     large = [a - b for a, b in zip(map(sum, zip(*plus)), map(sum, zip(*minus)))]
-    offsets = offsets[:small]
+    added = [g for i, g in enumerate(offsets[:small]) if not i & 2]
+    subtracted = [g for i, g in enumerate(offsets[:small]) if i & 2]
     for m, total in enumerate(large, lo):
-        for i, g in enumerate(offsets):
+        for g in added:
             if g > m:
                 break
-            if i & 2:
-                total -= table[m - g]
-            else:
-                total += table[m - g]
+            total += table[m - g]
+        for g in subtracted:
+            if g > m:
+                break
+            total -= table[m - g]
         table.append(total)
 
 

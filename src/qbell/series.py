@@ -20,7 +20,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from itertools import accumulate, count, repeat
 from math import lcm
-from operator import add, mul
+from operator import add, attrgetter, mul
 
 from .numtheory import SUM_5K4, SUM_7N5, EtaQuotient, G, H, _weight
 from .partitions import _slot_width, partition_count, partition_residues, pentagonal_numbers
@@ -364,18 +364,17 @@ def euler_product(order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
-def _divide_by_euler_power(coeffs: list[int], b: int) -> None:
+def _divide_by_euler_power(coeffs: list[int], b: int, cube, added, subtracted) -> None:
     """Divide coeffs, a series through x^(len(coeffs) - 1), by E(x)^b in place.
 
     E^b is (E^3)^(b // 3) E^(b % 3), and each factor is one pass that
     divides by a sparse series D with D_0 = 1,
         out_n = N_n - sum_{j>=1} D_j out_(n-j),
     over the nonzero D_j only, for n upwards.  No step divides, so ints stay
-    ints.  E^3's terms are Jacobi's; E's are +1 or -1, so its passes add and
-    subtract without a multiply.
+    ints.  cube lists E^3's terms, Jacobi's.  E is -1 at the offsets in added
+    and +1 at those in subtracted, so its passes add and subtract without a multiply.
     """
     order = len(coeffs) - 1
-    cube = _jacobi_terms(order)
     for _ in range(b // 3):
         for n in range(1, order + 1):
             acc = coeffs[n]
@@ -384,9 +383,6 @@ def _divide_by_euler_power(coeffs: list[int], b: int) -> None:
                     break
                 acc -= d * coeffs[n - j]
             coeffs[n] = acc
-    euler = _pentagonal_terms(order)
-    added = [g for g, sign in euler if sign < 0]
-    subtracted = [g for g, sign in euler if sign > 0]
     for _ in range(b % 3):
         for n in range(1, order + 1):
             acc = coeffs[n]
@@ -401,21 +397,40 @@ def _divide_by_euler_power(coeffs: list[int], b: int) -> None:
             coeffs[n] = acc
 
 
-def _eta_quotient(row: EtaQuotient, order: int) -> TruncatedSeries:
-    """A row scale x^shift E(x^r)^a / E(x)^b through x^order; order < 0 fails in euler_product.
-
-    The numerator's E(x^r)^a is E(y)^a through y^(order // r), spread to the
-    exponents r i: the same coefficients, for r times less work in Miller's
-    recurrence.  ``_divide_by_euler_power`` then divides the numerator in
-    place by Jacobi's E^3 and by E, both sparse, so no dense E^-b is built
-    and no two dense series are multiplied.  ``inverse`` and negative powers
-    remain library API and the tests' oracle for this builder.
-    """
+def _numerator(row: EtaQuotient, order: int) -> list[int]:
+    """A row's scale x^shift E(x^r)^a through x^order, E(x^r)^a spread from E(y)^a at order // r."""
     power = TruncatedSeries((euler_product(order // row.r) ** row.a).coefficients, order)
     coeffs = [0] * row.shift + [row.scale * c for c in power.substitute_power(row.r).coefficients]
     del coeffs[order + 1:]
-    _divide_by_euler_power(coeffs, row.b)
-    return TruncatedSeries(coeffs)
+    return coeffs
+
+
+def _eta_sum(rows: Iterable[EtaQuotient], order: int) -> TruncatedSeries:
+    """The sum of the rows scale x^shift E(x^r)^a / E(x)^b through x^order, order >= 0.
+
+    The product side's one builder.  With the rows sorted by b, largest
+    first, it adds row i's numerator to one running list, then divides the
+    list in place by E^(b_i - b_(i+1)), b_(m+1) = 0 after the last row m:
+    the links divide the whole sum by its largest E^b once, so G + H runs
+    two E^3 and two E passes, not three of each.  Division by sparse series
+    builds no dense E^-b; ``inverse`` and negative powers remain the tests'
+    oracle for it.
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    chain = sorted(rows, key=attrgetter("b"), reverse=True)
+    cube, euler = _jacobi_terms(order), _pentagonal_terms(order)  # once per chain
+    signs = [g for g, d in euler if d < 0], [g for g, d in euler if d > 0]
+    total = [0] * (order + 1)
+    for row, below in zip(chain, [*(row.b for row in chain[1:]), 0]):
+        total = list(map(add, total, _numerator(row, order)))
+        _divide_by_euler_power(total, row.b - below, cube, *signs)
+    return TruncatedSeries(total)
+
+
+def _eta_quotient(row: EtaQuotient, order: int) -> TruncatedSeries:
+    """One row scale x^shift E(x^r)^a / E(x)^b through x^order: a chain of one."""
+    return _eta_sum((row,), order)
 
 
 def series_g(order: int) -> TruncatedSeries:
@@ -483,15 +498,16 @@ def residue_classes(check: ResidueCheck) -> tuple[tuple[int, int], ...]:
 def residue_class_report(check: ResidueCheck, size: int) -> VerificationReport:
     """Check p(modulus n + residue) on the check's classes for SMALLEST_SIZE[side] <= n <= size.
 
-    The "product" side checks coefficient n of the sum's rows, each built as
-    its eta quotient.  The "bell" side builds each row by ``_bell_row`` and
-    checks n! times both values: by the exponential formula, n! [x^n] of a
-    row is scale (n!/(n-shift)!) B_(n-shift)(1! c_1, 2! c_2, ...), so
-    ``BELL_IDENTITY`` is the theorem of :mod:`qbell.identity`.  The
-    "congruence" side checks each family's residues against 0 on a table of
-    p(n) mod the moduli's lcm from ``partition_residues``, not the exact
-    table.  The side and the size are checked, then the largest p(n) is
-    read, which checks its bound and fills its table, before other work.
+    The "product" side checks coefficient n of the sum of its rows' eta
+    quotients, built in one chain by ``_eta_sum``.  The "bell" side builds
+    each row by ``_bell_row`` and checks n! times both values: by the
+    exponential formula, n! [x^n] of a row is scale (n!/(n-shift)!)
+    B_(n-shift)(1! c_1, 2! c_2, ...), so ``BELL_IDENTITY`` is the theorem of
+    :mod:`qbell.identity`.  The "congruence" side checks each family's
+    residues against 0 on a table of p(n) mod the moduli's lcm from
+    ``partition_residues``, not the exact table.  The side and the size are
+    checked, then the largest p(n) is read, which checks its bound and fills
+    its table, before other work.
     """
     first = SMALLEST_SIZE.get(check.side)
     if first is None:
@@ -507,8 +523,8 @@ def residue_class_report(check: ResidueCheck, size: int) -> VerificationReport:
     bell = check.side == "bell"
     modulus, residue, eta_rows = check.sum
     partition_count(modulus * size + residue)  # the bound and a one-time fill, before the build
-    build = _bell_row if bell else _eta_quotient  # looked up per call, so a patched builder runs
-    built = sum((build(row, size) for row in eta_rows), TruncatedSeries.zero(size))
+    built = (sum((_bell_row(row, size) for row in eta_rows), TruncatedSeries.zero(size)) if bell
+             else _eta_sum(eta_rows, size))
     scales = accumulate(range(1, size + 1), mul) if bell else repeat(1)  # n! on the Bell side
     rows = (
         (n, scale * computed, scale * partition_count(modulus * n + residue))

@@ -156,6 +156,18 @@ def test_fill_in_uneven_steps_matches_one_shot_fill_and_oracle(steps):
         assert stepped == partitions._table == list(expected[: n + 1])
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 63, 64, 65, 128])
+def test_exact_table_matches_the_oracle_at_other_block_widths(monkeypatch, width):
+    # Width 1 adds every offset as a slice, so no offset runs entry by entry; width 128 runs
+    # 18 of them entry by entry, 10 added and 8 subtracted.  Each fill starts a fresh table.
+    monkeypatch.setattr(partitions, "_BLOCK", width)
+    expected = pentagonal_oracle()
+    for n in sorted({0, 1, width - 1, width, width + 1, 2 * width, ORACLE_LIMIT}):
+        monkeypatch.setattr(partitions, "_table", [1])
+        assert partition_count(n) == expected[n]
+        assert partitions._table == list(expected[: n + 1])
+
+
 def test_matches_sympy_at_seeded_indices():
     partition = pytest.importorskip("sympy.functions.combinatorial.numbers").partition
     rng = random.Random(2718)

@@ -13,7 +13,7 @@ import qbell.identity
 import qbell.series
 from qbell import cli, partitions
 from qbell.numtheory import (
-    G, H, P5K4, SUM_5K4, SUM_7N5, _weight, sigma,
+    G, H, P5K4, SUM_5K4, SUM_7N5, EtaQuotient, _weight, sigma,
 )
 from qbell.partitions import partition_count
 from qbell.series import (
@@ -362,6 +362,53 @@ def test_eta_quotient_equals_its_product_at_full_order(row):
         assert qbell.series._eta_quotient(row, k) == full, k
 
 
+def full_order_product(row, k):
+    """The row scale x^shift E(x^r)^a / E(x)^b at order k by products and a negative power."""
+    e1 = euler_product(k)
+    return (TruncatedSeries.monomial(row.shift, k, row.scale)
+            * (e1.substitute_power(row.r) ** row.a) * (e1 ** -row.b))
+
+
+def test_the_chain_equals_the_sum_of_each_rows_full_order_product():
+    # G + H divides by E^4, adds G's numerator and divides by E^4 again: every k below 3r + 3
+    # and a verify-sized order
+    for k in [*range(3 * 7 + 3), 400]:
+        expected = full_order_product(G, k) + full_order_product(H, k)
+        assert qbell.series._eta_sum((G, H), k) == qbell.series._eta_sum((H, G), k) == expected, k
+    # x^2 E(x)^8 has the largest a and shift and the smallest b: only b orders the chain
+    late = EtaQuotient(1, 2, 1, 9, 1)
+    for k in (0, 1, 2, 3, 60):
+        expected = sum(map(full_order_product, (G, H, late), [k] * 3), TruncatedSeries.zero(k))
+        assert qbell.series._eta_sum((late, G, H), k) == expected, k
+
+
+# Ramanujan's p(25n+24) as five rows (c, j, 5, 6j + 6, 6j + 7): b from 31 down to 7
+P25N24_ROWS = (
+    EtaQuotient(63 * 5**2, 0, 5, 6, 7),
+    EtaQuotient(52 * 5**5, 1, 5, 12, 13),
+    EtaQuotient(63 * 5**7, 2, 5, 18, 19),
+    EtaQuotient(6 * 5**10, 3, 5, 24, 25),
+    EtaQuotient(5**12, 4, 5, 30, 31),
+)
+
+
+def test_the_chain_of_five_rows_counts_partitions_of_25n_plus_24():
+    built = qbell.series._eta_sum(P25N24_ROWS, 300)
+    assert list(built.coefficients) == [partition_count(25 * n + 24) for n in range(301)]
+
+
+def test_a_row_given_twice_gives_twice_the_row():
+    # the two b tie, so the first link divides by E^0
+    for row in (G, H, P5K4):
+        assert qbell.series._eta_sum((row, row), 60) == 2 * qbell.series._eta_quotient(row, 60)
+
+
+def test_order_zero_gives_each_rows_constant_term():
+    assert [qbell.series._eta_quotient(row, 0).coefficients for row in (G, H, P5K4)] == [
+        (7,), (0,), (5,)]
+    assert qbell.series._eta_sum((G, H), 0).coefficients == (7,)
+
+
 def test_jacobi_terms_are_the_cube_of_the_euler_product():
     # E(x)^3 through x^k is the cube through x^2000 cut at k, as the power of a truncated
     # series reads no coefficient past its own; checked directly for the first few k
@@ -527,10 +574,10 @@ def test_series_reports_refuse_a_size_before_building_a_series(
 @pytest.mark.parametrize("side", ["Bell", "products", "congruences", ""])
 def test_residue_class_report_refuses_an_unknown_side(monkeypatch, side):
     # a mistyped side is refused, not run as the product side, before the table fills
-    def unbuilt(row, order):
+    def unbuilt(rows, order):
         raise AssertionError("built a series for an unknown side")
 
-    monkeypatch.setattr(qbell.series, "_eta_quotient", unbuilt)
+    monkeypatch.setattr(qbell.series, "_eta_sum", unbuilt)
     monkeypatch.setattr(qbell.series, "_bell_row", unbuilt)
     monkeypatch.setattr(partitions, "_table", [1])
     start = time.perf_counter()
@@ -547,20 +594,39 @@ def assert_fails_only_at(report, index, capsys, argv):
 
 
 def test_p7n5_report_fails_at_a_bumped_h_coefficient(monkeypatch, capsys):
-    eta_quotient = qbell.series._eta_quotient
+    # coefficient 17 of the built sum that holds H
+    eta_sum = qbell.series._eta_sum
 
-    def bumped_h(row, order):
-        built = eta_quotient(row, order)
-        if row != H:
+    def bumped_h(rows, order):
+        built = eta_sum(rows, order)
+        if H not in rows:
             return built
         coeffs = list(built.coefficients)
         coeffs[17] += 1
         return TruncatedSeries(coeffs)
 
-    monkeypatch.setattr(qbell.series, "_eta_quotient", bumped_h)
+    monkeypatch.setattr(qbell.series, "_eta_sum", bumped_h)
     report = verify_p7n5_identity(30)
     assert report.entries[17].computed == report.entries[17].expected + 1
     assert_fails_only_at(report, 17, capsys, ["verify", "eq3", "--order", "30"])
+
+
+def test_p7n5_report_first_fails_at_a_bumped_h_numerator(monkeypatch, capsys):
+    # H's numerator gets x^17 before the chain divides it: the chain reads every row's numerator
+    numerator = qbell.series._numerator
+
+    def bumped_h(row, order):
+        coeffs = numerator(row, order)
+        if row == H:
+            coeffs[17] += 1
+        return coeffs
+
+    monkeypatch.setattr(qbell.series, "_numerator", bumped_h)
+    report = verify_p7n5_identity(30)
+    assert report.failures()[0].index == 17
+    assert report.entries[17].computed == report.entries[17].expected + 1
+    assert cli.main(["verify", "eq3", "--order", "30"]) == 1
+    assert json.loads(capsys.readouterr().out)["overallPass"] is False
 
 
 def test_p5k4_report_fails_at_a_shifted_partition_count(monkeypatch, capsys):
