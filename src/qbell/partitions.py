@@ -87,9 +87,11 @@ def partition_residues(n: int, modulus: int) -> list[int]:
     each chunk as a few big-int operations over fixed-width slots packed
     into one int (Harvey, J. Symb. Comp. 2009):
 
-    - pack: each finished chunk becomes two ints, one slot per residue r in
-      the one and per negation -r % modulus in the other;
-    - push: for every generalized pentagonal offset g, the int that g's
+    - pack: each finished chunk becomes one int, one slot per residue r,
+      and its negation half is that int subtracted from a packed row of C
+      moduli, built once per call: slot i then holds modulus - r_i, which is
+      -r_i mod modulus, and no slot borrows, since every r_i < modulus;
+    - push: for every generalized pentagonal offset g, the half that g's
       sign selects, shifted by g % C slots, is added into the accumulator of
       the chunk g // C ahead.  An accumulator spans two chunks' slots; after
       the pushes its upper half is carried into the next chunk's accumulator,
@@ -104,14 +106,15 @@ def partition_residues(n: int, modulus: int) -> list[int]:
       p(C - 1) exactly, by ``_fill_block`` on a list of its own, reduced.
 
     Slots never carry into each other.  Every addend is non-negative, a -
-    term being the + term of the negation: a push slot sums at most one
-    value in [0, modulus - 1] per offset, at most len(offsets) * (modulus -
-    1) in all, and a product slot at most C products of two such values, at
-    most C (modulus - 1)^2.  Each takes the fewest whole bytes that hold its
-    bound (``_slot_width``), at most the widest array item, 8 bytes, so the
-    modulus is at most isqrt((256^8 - 1) // C) + 1, 189812532 at C = 512.
-    The list is built afresh for each call and shared with no one.  Raises
-    ``ValueError`` for n < 0 and for n > PARTITION_LIMIT, as
+    term of r being a + term of modulus - r: a push slot sums at most one
+    value in [0, modulus] per offset, at most len(offsets) * modulus in
+    all, and is sized for at least modulus, so that the row of moduli fits
+    at n = 0, with no offset; a product slot sums at most C products of two
+    residues, at most C (modulus - 1)^2.  Each takes the fewest whole bytes
+    that hold its bound (``_slot_width``), at most the widest array item, 8
+    bytes, so the modulus is at most isqrt((256^8 - 1) // C) + 1, 189812532
+    at C = 512.  The list is built afresh for each call and shared with no
+    one.  Raises ``ValueError`` for n < 0 and for n > PARTITION_LIMIT, as
     ``partition_count`` does, for modulus < 1, and for a modulus above that
     bound, at every n.
     """
@@ -122,13 +125,13 @@ def partition_residues(n: int, modulus: int) -> list[int]:
     if modulus < 1:
         raise ValueError("partition_residues needs a modulus >= 1")
     # The product slot bounds the modulus.  The push slot then fits as well:
-    # modulus - 1 < 2^32 at any C >= 1, and 729 offsets reach
-    # PARTITION_LIMIT, so a push slot sums below 729 * 2^32 < 256^8.
+    # modulus <= 2^32 at any C >= 1, and 729 offsets reach PARTITION_LIMIT,
+    # so a push slot sums at most 729 * 2^32 < 256^8.
     largest = isqrt((256**_WIDEST - 1) // _CHUNK) + 1
     if modulus > largest:
         raise ValueError(f"partition_residues packs no modulus above {largest}")
     offsets = pentagonal_numbers(n)
-    push = _slot_width(len(offsets) * (modulus - 1))
+    push = _slot_width(max(1, len(offsets)) * modulus)
     product = _slot_width(_CHUNK * (modulus - 1) ** 2)
     half = 8 * push * _CHUNK  # bits per chunk, half an accumulator
     chunks = n // _CHUNK + 1
@@ -145,8 +148,10 @@ def partition_residues(n: int, modulus: int) -> list[int]:
     kernel = _pack(chunk, product)
     table = chunk[:]
     acc = [0] * chunks
+    moduli = _pack([modulus] * _CHUNK, push)
     for c in range(chunks - 1):
-        halves = (_pack(chunk, push), _pack([-r % modulus for r in chunk], push))
+        packed = _pack(chunk, push)
+        halves = (packed, moduli - packed)
         for ahead, shift, sign in pushes:
             if c + ahead >= chunks:
                 break

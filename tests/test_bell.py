@@ -123,6 +123,9 @@ def test_partial_argument_validation():
         partial_bell(4, 2, [1, 1])  # needs n-k+1 = 3 values
     with pytest.raises(ValueError):
         partial_bell_by_enumeration(4, 2, [1, 1])
+    for k in (0, 4):
+        with pytest.raises(ValueError, match="^partial_bell_by_enumeration requires 1 <= k <= n$"):
+            partial_bell_by_enumeration(3, k, [1, 1, 1])
 
 
 def test_enumeration_guard():

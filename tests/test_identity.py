@@ -91,6 +91,11 @@ def test_bell_arguments_are_integers():
         assert math.factorial(i) * e_coefficient(i) == 8 * base * sigma(i) - 49 * base * seventh
 
 
+def test_rhs_validation():
+    with pytest.raises(ValueError, match="^the identity is stated for n >= 1$"):
+        theorem_rhs(0)
+
+
 def test_lhs_validation():
     with pytest.raises(ValueError):
         theorem_lhs(0)

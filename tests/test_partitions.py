@@ -204,6 +204,7 @@ CHUNK_EDGES = (partitions._CHUNK - 1, partitions._CHUNK, partitions._CHUNK + 1, 
 @example(n=CHUNK_EDGES[2], modulus=385)
 @example(n=CHUNK_EDGES[3], modulus=2)
 @example(n=ORACLE_LIMIT, modulus=10**6 - 1)
+@example(n=2 * partitions._CHUNK + partitions._CHUNK // 2, modulus=8)  # a half-full last chunk
 def test_residue_table_matches_the_oracle_mod_any_modulus(n, modulus):
     expected = pentagonal_oracle()
     assert partition_residues(n, modulus) == [p % modulus for p in expected[: n + 1]]
@@ -237,6 +238,9 @@ def test_residue_table_holds_one_int_per_residue():
 
 def test_residue_table_bounds():
     assert partition_residues(0, 7) == [1]
+    # no offset reaches 0, but the push slot still holds the row of moduli
+    for modulus in (256, 10**6, largest_modulus(partitions._CHUNK)):
+        assert partition_residues(0, modulus) == [1]
     assert partition_residues(5, 1) == [0] * 6
     with pytest.raises(ValueError, match=">= 0"):
         partition_residues(-1, 385)
@@ -258,7 +262,7 @@ def test_residue_table_refuses_a_modulus_past_the_widest_slot():
 
 
 # Every slot width a fill can take: a product slot holds at most 8 bytes,
-# and a push slot, len(offsets) (modulus - 1), no more than that.
+# and a push slot, len(offsets) modulus, no more than that.
 SLOT_WIDTHS = range(1, partitions._WIDEST + 1)
 
 
@@ -266,19 +270,21 @@ def test_the_widest_product_slot_is_reached():
     largest = largest_modulus(partitions._CHUNK)
     assert partitions._slot_width(partitions._CHUNK * (largest - 1) ** 2) == SLOT_WIDTHS[-1] == 8
     count = len(partitions.pentagonal_numbers(PARTITION_LIMIT))
-    assert partitions._slot_width(count * (largest - 1)) < 8
+    assert partitions._slot_width(count * largest) < 8
 
 
 @pytest.mark.parametrize(
     "modulus, widths",
     [
-        (9, (2, 2)),  # the push bound 36 * 8 = 288 needs 2 bytes, and 36 * 7 would fit in 1
+        (9, (2, 2)),  # the push bound 36 * 9 = 324 and the product bound 512 * 8^2 = 32768 need 2 bytes
         (13, (2, 3)),  # the product bound 512 * 12^2 = 73728 needs 3 bytes, and 512 * 11^2 fits 2
+        (8, (2, 2)),  # the push bound 36 * 8 = 288 needs 2 bytes, and 36 * 7 = 252 would fit in 1
     ],
 )
 def test_slot_bounds_are_the_largest_slot_sums(monkeypatch, modulus, widths):
     # Real residues never fill a slot to its bound, so the bounds are read where they are sized:
-    # a push slot sums one residue per offset, 36 offsets up to 511, and a product slot C products.
+    # a push slot sums one value in [0, modulus] per offset, 36 offsets up to 511, and a product
+    # slot C products.
     bounds = []
     slot_width = partitions._slot_width
 
@@ -289,7 +295,7 @@ def test_slot_bounds_are_the_largest_slot_sums(monkeypatch, modulus, widths):
     monkeypatch.setattr(partitions, "_slot_width", recorded)
     assert partitions._CHUNK == 512 and len(partitions.pentagonal_numbers(511)) == 36
     assert partition_residues(511, modulus) == [p % modulus for p in pentagonal_oracle()[:512]]
-    assert bounds == [36 * (modulus - 1), 512 * (modulus - 1) ** 2]
+    assert bounds == [36 * modulus, 512 * (modulus - 1) ** 2]
     assert tuple(map(slot_width, bounds)) == widths
 
 
@@ -306,6 +312,22 @@ def test_pack_and_unpack_round_trip_at_every_width(width, data):
     count = data.draw(st.integers(0, len(values)))
     full = packed | top << 8 * width * len(values)
     assert partitions._unpack(full, count, width) == values[:count]
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_a_row_of_moduli_less_a_packed_chunk_holds_the_negations(data):
+    # The fill's - half: slot i of the row less the packed chunk is m - r_i, with no borrow,
+    # for residues in [0, m - 1] at any push width that holds m.
+    modulus = data.draw(st.one_of(st.sampled_from((1, 255, 256, 2**16, 2**32)),
+                                  st.integers(1, 1000), st.integers(1, largest_modulus(1))))
+    width = data.draw(st.integers(partitions._slot_width(modulus), partitions._WIDEST))
+    residues = data.draw(st.lists(
+        st.one_of(st.just(0), st.just(modulus - 1), st.integers(0, modulus - 1)), min_size=1, max_size=40))
+    count = len(residues)
+    row = partitions._pack([modulus] * count, width)
+    negations = partitions._unpack(row - partitions._pack(residues, width), count, width)
+    assert negations == [modulus - r for r in residues]
 
 
 @settings(deadline=None, max_examples=200)

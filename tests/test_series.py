@@ -58,7 +58,7 @@ def euler_product_by_direct_expansion(order: int) -> TruncatedSeries:
 
 def test_construction_and_accessors():
     s = TruncatedSeries([1, Fraction(1, 2), 0, -3])
-    assert s.order == 3
+    assert s.order == 3 and len(s) == 4 and len(TruncatedSeries([1], 4)) == 5
     assert s.coefficients == (1, Fraction(1, 2), 0, -3)
     assert s[1] == Fraction(1, 2)
     with pytest.raises(IndexError):
@@ -88,6 +88,34 @@ def test_equality_and_hash():
     assert hash(a) == hash(b)
     assert a != TruncatedSeries([1, 2])
     assert a != TruncatedSeries([1, 2, 4])
+
+
+def test_construction_validation():
+    with pytest.raises(ValueError, match="^need coefficients or an explicit order$"):
+        TruncatedSeries((), None)
+    with pytest.raises(ValueError, match="^order must be >= 0$"):
+        TruncatedSeries([1], -1)
+    with pytest.raises(ValueError, match="^exponent must be >= 0$"):
+        TruncatedSeries.monomial(-1, 3)
+    with pytest.raises(ValueError, match="^order must be >= 0$"):
+        euler_product(-1)
+
+
+def test_operations_with_an_unsupported_operand():
+    s = TruncatedSeries([1, 2, 3])
+    for method in ("__eq__", "__add__", "__sub__", "__mul__", "__truediv__"):
+        assert getattr(s, method)("x") is NotImplemented
+    assert s.__pow__(1.5) is NotImplemented
+    assert (s == "x") is False and (s != "x") is True
+    for apply in (
+        lambda: s + "x",
+        lambda: s - "x",
+        lambda: s * "x",
+        lambda: s / "x",
+        lambda: s**1.5,
+    ):
+        with pytest.raises(TypeError):
+            apply()
 
 
 def test_repr_renders_coefficients_past_the_interpreter_digit_limit():
