@@ -206,9 +206,7 @@ def _cmd_series(args: argparse.Namespace) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # one bound row per target, in the same order
-    sizes = [getattr(args, dest) for _, dest, _, _ in args.bounds]
-    reports = [series.residue_class_report(t.check, size) for t, size in zip(args.targets, sizes)]
+    reports = [series.residue_class_report(t.check, getattr(args, t.size)) for t in args.targets]
     write_json(reports if args.target == "all" else reports[0], sys.stdout)
     print()
     return 0 if all(report.overall_pass for report in reports) else 1

@@ -7,7 +7,8 @@ table of p(n) mod m afresh for each call, a chunk of entries at a time, on
 residues packed as fixed-width slots of big ints: the terms that earlier
 chunks contribute are added in as shifted whole chunks, and a chunk's own
 terms are one product with the packed residues of the first chunk, which
-the exact table's block fill computes.
+the exact table's block fill computes.  The slot codec, ``_pack`` and
+``_unpack``, also serves the exp kernel of ``qbell.series``.
 """
 
 import sys
@@ -173,10 +174,12 @@ def _slot_width(bound: int) -> int:
 def _pack(values: list[int], width: int) -> int:
     """One int holding values[i] in its bytes i * width .. (i + 1) * width - 1.
 
-    Each value must be below 256**width, width at most 8.  The slots go
-    through one array; an item wider than the slot gives its low bytes by
-    strided copies.
+    Each value must be below 256**width.  Slots of at most ``_WIDEST``
+    bytes go through one array; an item wider than the slot gives its low
+    bytes by strided copies.  A wider slot is each value's bytes, joined.
     """
+    if width > _WIDEST:
+        return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
     item = min(size for size in _ITEMS if size >= width)
     raw = _little(array(_ITEMS[item], values)).tobytes()
     if item > width:
@@ -190,6 +193,8 @@ def _pack(values: list[int], width: int) -> int:
 def _unpack(number: int, count: int, width: int) -> list[int]:
     """The lowest count slots of width bytes of number, the inverse of ``_pack``."""
     raw = (number & ((1 << 8 * count * width) - 1)).to_bytes(count * width, "little")
+    if width > _WIDEST:
+        return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
     item = min(size for size in _ITEMS if size >= width)
     if item > width:
         items = bytearray(count * item)

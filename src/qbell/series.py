@@ -23,7 +23,8 @@ from math import lcm
 from operator import add, attrgetter, mul
 
 from .numtheory import SUM_5K4, SUM_7N5, EtaQuotient, G, H, _weight
-from .partitions import _slot_width, partition_count, partition_residues, pentagonal_numbers
+from .partitions import (_pack, _slot_width, _unpack, partition_count, partition_residues,
+                         pentagonal_numbers)
 from .reports import VerificationReport, format_exact
 
 __all__ = [
@@ -291,7 +292,9 @@ def _exp_range(ws: list[int], e: list[int], lo: int, hi: int) -> bool:
     solves its first half, adds that half's terms to the second half as the
     middle slots of one product of packed values, and solves the second
     half.  Every value is non-negative and no slot sum exceeds
-    max(E) max(w) (mid - lo), so a slot of that width never carries.
+    max(E) max(w) (mid - lo), so a slot of that width never carries.  A
+    bound of 0 means a product of 0, which is skipped: a slot that narrow
+    need not hold the values themselves.
     """
     if hi - lo <= _LEAF:
         for n in range(lo, hi):
@@ -305,22 +308,13 @@ def _exp_range(ws: list[int], e: list[int], lo: int, hi: int) -> bool:
     # E_lo .. E_(mid-1) meet w_1 .. w_(hi-lo-1) on mid .. hi-1: slots mid-lo-1 .. hi-lo-2
     # of the product, since slot i of the packed weights holds w_(i+1)
     solved, weights = e[lo:mid], ws[:hi - lo - 1]
-    width = _slot_width(max(solved) * max(weights) * (mid - lo))
-    product = _pack_wide(solved, width) * _pack_wide(weights, width)
-    e[mid:hi] = map(add, e[mid:hi],
-                    _unpack_wide(product >> 8 * width * (mid - lo - 1), hi - mid, width))
+    bound = max(solved) * max(weights) * (mid - lo)
+    if bound:
+        width = _slot_width(bound)
+        product = _pack(solved, width) * _pack(weights, width)
+        e[mid:hi] = map(add, e[mid:hi],
+                        _unpack(product >> 8 * width * (mid - lo - 1), hi - mid, width))
     return _exp_range(ws, e, mid, hi)
-
-
-def _pack_wide(values: list[int], width: int) -> int:
-    """One int holding values[i] in its bytes i * width .. (i + 1) * width - 1, any width."""
-    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
-
-
-def _unpack_wide(number: int, count: int, width: int) -> list[int]:
-    """The lowest count slots of width bytes of number, the inverse of ``_pack_wide``."""
-    raw = (number & ((1 << 8 * count * width) - 1)).to_bytes(count * width, "little")
-    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
 
 
 # -- named products -------------------------------------------------------

@@ -299,7 +299,9 @@ def test_slot_bounds_are_the_largest_slot_sums(monkeypatch, modulus, widths):
     assert tuple(map(slot_width, bounds)) == widths
 
 
-@pytest.mark.parametrize("width", SLOT_WIDTHS)
+# 9 is the narrowest slot past the array items; 23 and 47 are the widest slots that
+# the exp kernel packs at n = 384 and at n = 1523
+@pytest.mark.parametrize("width", (*SLOT_WIDTHS, 9, 23, 47))
 @settings(deadline=None, max_examples=25)
 @given(data=st.data())
 def test_pack_and_unpack_round_trip_at_every_width(width, data):

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qbell.identity
@@ -291,6 +291,9 @@ _exp_weights = st.one_of(
 
 @settings(deadline=None, max_examples=80)
 @given(ws=_exp_weights)
+@example(ws=_euler_weights([39] * 33))  # one product, on 9-byte slots: the narrowest past the array
+# E_1 .. E_31 are 0 and w_40 needs 2 bytes: a slot sized for their product, 0, is 1 byte
+@example(ws=[0] * 39 + [40 * 300] + [0] * 23)
 def test_exp_kernel_equals_the_loop(ws):
     expected = qbell.series._exp_loop(ws)
     kernel = qbell.series._exp(ws)
