@@ -1,14 +1,16 @@
 """The partition function p(n), its residues, and an independent counting oracle.
 
 Both tables come from Euler's pentagonal recurrence, E(x) P(x) = 1 with E
-the Euler product and P the partition series.  ``partition_count`` keeps
-one shared exact table, filled in blocks.  ``partition_residues`` fills a
-table of p(n) mod m afresh for each call, a chunk of entries at a time, on
-residues packed as fixed-width slots of big ints: the terms that earlier
-chunks contribute are added in as shifted whole chunks, and a chunk's own
-terms are one product with the packed residues of the first chunk, which
-the exact table's block fill computes.  The slot codec, ``_pack`` and
-``_unpack``, also serves the exp kernel of ``qbell.series``.
+the Euler product and P the partition series.  One kernel,
+``_divide_by_euler``, extends a list by numerator / E in blocks: the
+shared exact table of ``partition_count`` is numerator 1, and the product
+side of ``qbell.series`` divides its numerators by E through it.
+``partition_residues`` fills a table of p(n) mod m afresh for each call, a
+chunk of entries at a time, on residues packed as fixed-width slots of big
+ints: the terms that earlier chunks contribute are added in as shifted
+whole chunks, and a chunk's own terms are one product with the packed
+residues of the first chunk, which the kernel computes.  The slot codec,
+``_pack`` and ``_unpack``, also serves the exp kernel of ``qbell.series``.
 """
 
 import sys
@@ -33,10 +35,10 @@ _extend_lock = threading.Lock()
 _BLOCK = 64
 
 # Entries per chunk of the residue fill, C.  A wider chunk makes fewer
-# pushes but longer ones, longer products and a longer kernel, filled as
-# one exact block.  Of 128 .. 1024, timed in fresh interpreters, 256 and
-# 512 tied to p(55006) mod 385, 512 had the lowest median to p(110006) and
-# p(200000), and 256 to p(11006), by 2 ms.
+# pushes but longer ones, longer products and a longer exact kernel.  Of
+# 128 .. 1024, timed in fresh interpreters, 256 and 512 tied to p(55006)
+# mod 385, 512 had the lowest median to p(110006) and p(200000), and 256 to
+# p(11006), by 2 ms.
 _CHUNK = 512
 
 # Unsigned array typecodes by item size in bytes, and the widest item, 8
@@ -51,17 +53,15 @@ def partition_count(n: int) -> int:
     Euler's pentagonal recurrence
         p(n) = sum_{k>=1} (-1)^(k+1) [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)]
     with p(0) = 1 and p(negative) = 0, memoized in one table.  Filling the
-    table up to N costs O(N^1.5) big-integer additions.  It is filled in
-    blocks of ``_BLOCK`` entries: each offset at least the block's width
-    contributes one slice of the table, and the slices are added column by
-    column in C, so only the offsets below its width, split once by sign,
-    O(N sqrt(_BLOCK)) additions in all, run in the interpreter.  The fill
+    table up to N costs O(N^1.5) big-integer additions.  It is filled by
+    ``_divide_by_euler``, as 1 / E(x), in blocks of ``_BLOCK`` entries, so
+    only O(N sqrt(_BLOCK)) additions run in the interpreter.  The fill
     gains little when the table grows a few entries per call, so a caller
     that reads many indices fills it once, at its largest index, first.
     This exact table serves the Bell and product sides of the residue-class
     report and ``qbell partition``; its congruence side needs only residues
     and reads ``partition_residues``, whose packed fill takes its first
-    chunk from ``_fill_block`` and shares no other code with this one.
+    chunk from the same kernel.
     Raises ``ValueError`` for n < 0 and for n > PARTITION_LIMIT, so the
     table never holds more than PARTITION_LIMIT + 1 entries.
     """
@@ -70,13 +70,9 @@ def partition_count(n: int) -> int:
     if n >= len(_table):
         if n > PARTITION_LIMIT:
             raise ValueError(f"partition_count is capped at n <= {PARTITION_LIMIT}")
-        # The signs of the offsets in the recurrence run + + - - and repeat,
-        # so offset i is added when i & 2 == 0.
         offsets = pentagonal_numbers(n)
         with _extend_lock:
-            table = _table
-            for lo in range(len(table), n + 1, _BLOCK):
-                _fill_block(table, lo, min(lo + _BLOCK, n + 1), offsets)
+            _divide_by_euler(_table, [1], n + 1, offsets)
     return _table[n]
 
 
@@ -104,7 +100,7 @@ def partition_residues(n: int, modulus: int) -> list[int]:
       mod modulus, packed again and multiplied by the kernel p(0) .. p(C - 1)
       mod modulus, packed the same way; the low C slots of the product,
       reduced, are the chunk.  The kernel is the first chunk: p(0) ..
-      p(C - 1) exactly, by ``_fill_block`` on a list of its own, reduced.
+      p(C - 1) exactly, by ``_divide_by_euler`` on a list of its own, reduced.
 
     Slots never carry into each other.  Every addend is non-negative, a -
     term of r being a + term of modulus - r: a push slot sums at most one
@@ -143,8 +139,8 @@ def partition_residues(n: int, modulus: int) -> list[int]:
     # longer than the table; past that, a range gives each entry an int of its
     # own, as % does.
     residues = list(range(modulus)) if modulus <= n + 1 else range(modulus)
-    exact = [1]  # a list of its own: the shared table stays as it is
-    _fill_block(exact, 1, min(_CHUNK, n + 1), offsets)
+    exact = []  # a list of its own: the shared table stays as it is
+    _divide_by_euler(exact, [1], min(_CHUNK, n + 1), offsets)
     chunk = [residues[p % modulus] for p in exact]
     kernel = _pack(chunk, product)
     table = chunk[:]
@@ -224,40 +220,48 @@ def pentagonal_numbers(n: int) -> list[int]:
     return out[: bisect_right(out, n)]
 
 
-def _fill_block(table: list[int], lo: int, hi: int, offsets: list[int]) -> None:
-    """Append p(lo) .. p(hi - 1) to table, which holds p(0) .. p(lo - 1).
+def _divide_by_euler(q: list[int], numerator: list[int], end: int, offsets: list[int]) -> None:
+    """Extend q, the first terms of N / E(x), through q_(end - 1).
 
-    offsets lists the generalized pentagonal numbers in increasing order, at
-    least every one below hi.  Those below the block's width are split by
-    sign once, into added and subtracted, and each entry reads both.
+    N is numerator, then zeros.  E is the Euler product, so E q = N reads
+    q_m = N_m + sum_g (+/-) q_(m-g) over the generalized pentagonal g <= m,
+    and the partition table is the case N = 1.  offsets lists those
+    numbers in increasing order, at least every one below end.  The
+    entries are filled in blocks of ``_BLOCK``: each offset at least the
+    block's width contributes one slice of q, and the slices and the
+    numerator's are added column by column in C; the smaller offsets are
+    split by sign once per block, into added and subtracted, and each
+    entry reads both.
     """
-    width = hi - lo
-    small = bisect_left(offsets, width)
-    zeros = [0] * width
-    plus, minus = [zeros], [zeros]
-    # An offset g >= width reads p(m - g) with m - g < lo for every m in the
-    # block, so its terms for the whole block are one slice, p(lo - g) ..
-    # p(hi - 1 - g), zero below index 0.
-    for i in range(small, bisect_right(offsets, hi - 1)):
-        g = offsets[i]
-        if g <= lo:
-            shifted = table[lo - g : hi - g]
-        else:
-            shifted = [0] * (g - lo) + table[: hi - g]
-        (minus if i & 2 else plus).append(shifted)
-    large = [a - b for a, b in zip(map(sum, zip(*plus)), map(sum, zip(*minus)))]
-    added = [g for i, g in enumerate(offsets[:small]) if not i & 2]
-    subtracted = [g for i, g in enumerate(offsets[:small]) if i & 2]
-    for m, total in enumerate(large, lo):
-        for g in added:
-            if g > m:
-                break
-            total += table[m - g]
-        for g in subtracted:
-            if g > m:
-                break
-            total -= table[m - g]
-        table.append(total)
+    for lo in range(len(q), end, _BLOCK):
+        hi = min(lo + _BLOCK, end)
+        small = bisect_left(offsets, hi - lo)
+        zeros, head = [0] * (hi - lo), numerator[lo:hi]
+        plus, minus = [head + zeros[len(head):]], [zeros]
+        # The signs of the offsets run + + - - and repeat, so offset i is added when
+        # i & 2 == 0.  An offset g >= hi - lo reads q_(m - g) with m - g < lo for every m in
+        # the block, so its terms for the whole block are one slice, q_(lo - g) ..
+        # q_(hi - 1 - g), zero below index 0.
+        for i in range(small, bisect_right(offsets, hi - 1)):
+            g = offsets[i]
+            if g <= lo:
+                shifted = q[lo - g : hi - g]
+            else:
+                shifted = [0] * (g - lo) + q[: hi - g]
+            (minus if i & 2 else plus).append(shifted)
+        large = [a - b for a, b in zip(map(sum, zip(*plus)), map(sum, zip(*minus)))]
+        added = [g for i, g in enumerate(offsets[:small]) if not i & 2]
+        subtracted = [g for i, g in enumerate(offsets[:small]) if i & 2]
+        for m, total in enumerate(large, lo):
+            for g in added:
+                if g > m:
+                    break
+                total += q[m - g]
+            for g in subtracted:
+                if g > m:
+                    break
+                total -= q[m - g]
+            q.append(total)
 
 
 # Largest n that partition_count and partition_residues accept.  It bounds

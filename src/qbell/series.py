@@ -23,8 +23,8 @@ from math import lcm
 from operator import add, attrgetter, mul
 
 from .numtheory import SUM_5K4, SUM_7N5, EtaQuotient, G, H, _weight
-from .partitions import (_pack, _slot_width, _unpack, partition_count, partition_residues,
-                         pentagonal_numbers)
+from .partitions import (_divide_by_euler, _pack, _slot_width, _unpack, partition_count,
+                         partition_residues, pentagonal_numbers)
 from .reports import VerificationReport, format_exact
 
 __all__ = [
@@ -320,14 +320,6 @@ def _exp_range(ws: list[int], e: list[int], lo: int, hi: int) -> bool:
 # -- named products -------------------------------------------------------
 
 
-def _pentagonal_terms(order: int) -> list[tuple[int, int]]:
-    """(g, coefficient of x^g in E(x)) for each generalized pentagonal g <= order, g increasing.
-
-    Euler's pentagonal number theorem: the coefficients run - - + + and repeat.
-    """
-    return [(g, 1 if i & 2 else -1) for i, g in enumerate(pentagonal_numbers(order))]
-
-
 def _jacobi_terms(order: int) -> list[tuple[int, int]]:
     """(m(m+1)/2, (-1)^m (2m+1)) for m >= 1 with m(m+1)/2 <= order: E(x)^3 past its constant 1.
 
@@ -344,29 +336,31 @@ def _jacobi_terms(order: int) -> list[tuple[int, int]]:
 def euler_product(order: int) -> TruncatedSeries:
     """(x;x)_inf = prod_{k>=1} (1 - x^k), exact through x^order.
 
-    Built from the sparse pentagonal-number expansion
-        1 + sum_{k>=1} (-1)^k (x^{k(3k-1)/2} + x^{k(3k+1)/2})
-    that ``_pentagonal_terms`` lists.  Factors (1 - x^j) with j > order
-    cannot touch coefficients <= order, so the truncation at x^order is exact.
+    Built from Euler's pentagonal number theorem,
+        1 + sum_{k>=1} (-1)^k (x^{k(3k-1)/2} + x^{k(3k+1)/2}),
+    whose coefficients at the generalized pentagonal numbers run - - + +
+    and repeat.  Factors (1 - x^j) with j > order cannot touch
+    coefficients <= order, so the truncation at x^order is exact.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     coeffs = [0] * (order + 1)
     coeffs[0] = 1
-    for g, sign in _pentagonal_terms(order):
-        coeffs[g] = sign
+    for i, g in enumerate(pentagonal_numbers(order)):
+        coeffs[g] = 1 if i & 2 else -1
     return TruncatedSeries(coeffs)
 
 
-def _divide_by_euler_power(coeffs: list[int], b: int, cube, added, subtracted) -> None:
+def _divide_by_euler_power(coeffs: list[int], b: int, cube, offsets) -> None:
     """Divide coeffs, a series through x^(len(coeffs) - 1), by E(x)^b in place.
 
-    E^b is (E^3)^(b // 3) E^(b % 3), and each factor is one pass that
-    divides by a sparse series D with D_0 = 1,
-        out_n = N_n - sum_{j>=1} D_j out_(n-j),
-    over the nonzero D_j only, for n upwards.  No step divides, so ints stay
-    ints.  cube lists E^3's terms, Jacobi's.  E is -1 at the offsets in added
-    and +1 at those in subtracted, so its passes add and subtract without a multiply.
+    E^b is (E^3)^(b // 3) E^(b % 3).  An E^3 pass divides by Jacobi's
+    sparse series, whose terms (j, D_j) cube lists, D_0 = 1:
+        out_n = N_n - sum_{j>=1} D_j out_(n-j)
+    over the nonzero D_j only, for n upwards.  An E pass is the exact
+    partition table's block kernel, ``_divide_by_euler``, on the pentagonal
+    offsets: a report's two sides divide different numerators by it, so a
+    fault in it fails the report.  No step divides, so ints stay ints.
     """
     order = len(coeffs) - 1
     for _ in range(b // 3):
@@ -378,17 +372,9 @@ def _divide_by_euler_power(coeffs: list[int], b: int, cube, added, subtracted) -
                 acc -= d * coeffs[n - j]
             coeffs[n] = acc
     for _ in range(b % 3):
-        for n in range(1, order + 1):
-            acc = coeffs[n]
-            for j in added:
-                if j > n:
-                    break
-                acc += coeffs[n - j]
-            for j in subtracted:
-                if j > n:
-                    break
-                acc -= coeffs[n - j]
-            coeffs[n] = acc
+        quotient = []
+        _divide_by_euler(quotient, coeffs, order + 1, offsets)
+        coeffs[:] = quotient
 
 
 def _numerator(row: EtaQuotient, order: int) -> list[int]:
@@ -413,12 +399,11 @@ def _eta_sum(rows: Iterable[EtaQuotient], order: int) -> TruncatedSeries:
     if order < 0:
         raise ValueError("order must be >= 0")
     chain = sorted(rows, key=attrgetter("b"), reverse=True)
-    cube, euler = _jacobi_terms(order), _pentagonal_terms(order)  # once per chain
-    signs = [g for g, d in euler if d < 0], [g for g, d in euler if d > 0]
+    cube, offsets = _jacobi_terms(order), pentagonal_numbers(order)  # once per chain
     total = [0] * (order + 1)
     for row, below in zip(chain, [*(row.b for row in chain[1:]), 0]):
         total = list(map(add, total, _numerator(row, order)))
-        _divide_by_euler_power(total, row.b - below, cube, *signs)
+        _divide_by_euler_power(total, row.b - below, cube, offsets)
     return TruncatedSeries(total)
 
 

@@ -219,8 +219,8 @@ def largest_modulus(width: int) -> int:
 @pytest.mark.parametrize("width", [1, 2, 3, 5, 64, 1024])
 def test_residue_table_matches_the_oracle_at_other_chunk_widths(monkeypatch, width):
     # Width 1 pushes every term and its product is one slot by one, mod up
-    # to 2^32; width 1024 fills a kernel of 1024 exact entries as one block,
-    # past 51 offsets, and multiplies 1024 slots by 1024.
+    # to 2^32; width 1024 fills a kernel of 1024 exact entries, past 51
+    # offsets, and multiplies 1024 slots by 1024.
     monkeypatch.setattr(partitions, "_CHUNK", width)
     expected = pentagonal_oracle()
     for n in sorted({0, 1, width - 1, width, width + 1, 2 * width, ORACLE_LIMIT}):

@@ -4,6 +4,7 @@ import json
 import math
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +14,7 @@ import qbell.identity
 import qbell.series
 from qbell import cli, partitions
 from qbell.numtheory import (
-    G, H, P5K4, SUM_5K4, SUM_7N5, EtaQuotient, _weight, sigma,
+    G, H, P5K4, SUM_5K4, SUM_7N5, EtaQuotient, RamanujanSum, _weight, sigma,
 )
 from qbell.partitions import partition_count
 from qbell.series import (
@@ -400,17 +401,32 @@ def full_order_product(row, k):
             * (e1.substitute_power(row.r) ** row.a) * (e1 ** -row.b))
 
 
+@lru_cache(maxsize=None)
+def full_order_sum(rows, k):
+    """The sum of the rows' full order products at order k."""
+    return sum(map(full_order_product, rows, [k] * len(rows)), TruncatedSeries.zero(k))
+
+
 def test_the_chain_equals_the_sum_of_each_rows_full_order_product():
     # G + H divides by E^4, adds G's numerator and divides by E^4 again: every k below 3r + 3
     # and a verify-sized order
     for k in [*range(3 * 7 + 3), 400]:
-        expected = full_order_product(G, k) + full_order_product(H, k)
+        expected = full_order_sum((G, H), k)
         assert qbell.series._eta_sum((G, H), k) == qbell.series._eta_sum((H, G), k) == expected, k
     # x^2 E(x)^8 has the largest a and shift and the smallest b: only b orders the chain
     late = EtaQuotient(1, 2, 1, 9, 1)
     for k in (0, 1, 2, 3, 60):
-        expected = sum(map(full_order_product, (G, H, late), [k] * 3), TruncatedSeries.zero(k))
-        assert qbell.series._eta_sum((late, G, H), k) == expected, k
+        assert qbell.series._eta_sum((late, G, H), k) == full_order_sum((G, H, late), k), k
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 63, 64, 65, 128])
+def test_the_product_side_matches_its_full_order_product_at_other_block_widths(monkeypatch, width):
+    # The E passes run the exact table's block kernel, so at the widths of its oracle test:
+    # G + H runs one E pass per link, and 1 / E^2 two, the second on the first's quotient.
+    monkeypatch.setattr(partitions, "_BLOCK", width)
+    for rows in ((G, H), (EtaQuotient(1, 0, 1, 0, 2),)):
+        for k in sorted({0, 1, width - 1, width, width + 1, 2 * width, 400}):
+            assert qbell.series._eta_sum(rows, k) == full_order_sum(rows, k), (rows, k)
 
 
 # Ramanujan's p(25n+24) as five rows (c, j, 5, 6j + 6, 6j + 7): b from 31 down to 7
@@ -426,6 +442,37 @@ P25N24_ROWS = (
 def test_the_chain_of_five_rows_counts_partitions_of_25n_plus_24():
     built = qbell.series._eta_sum(P25N24_ROWS, 300)
     assert list(built.coefficients) == [partition_count(25 * n + 24) for n in range(301)]
+
+
+# The partition function's own row, 1 / E(x), whose weights are n c_n = sigma(n), and its
+# sum p(1 n + 0): the Bell side reaches p through sigma and the exp kernel alone.
+PARTITION_SUM = RamanujanSum(1, 0, (EtaQuotient(1, 0, 1, 0, 1),))
+
+
+@pytest.mark.parametrize("side", ["bell", "product"])
+def test_the_partition_functions_own_row_counts_every_partition(side):
+    report = residue_class_report(ResidueCheck("partitions", PARTITION_SUM, side), 3000)
+    assert report.overall_pass
+    assert [entry.index for entry in report.entries] == list(range(side == "bell", 3001))
+
+
+def test_a_bumped_weight_fails_the_partition_rows_bell_side_first_at_its_index(monkeypatch):
+    # sigma(7) + 1 makes E_7 a fraction, so the row runs the step-by-step loop: a short report
+    monkeypatch.setattr(qbell.series, "_weight", lambda i, row: _weight(i, row) + (i == 7))
+    report = residue_class_report(ResidueCheck("partitions", PARTITION_SUM, "bell"), 60)
+    assert report.failures()[0].index == 7
+
+
+@pytest.mark.parametrize("side", ["bell", "product"])
+def test_a_bumped_entry_of_a_fresh_exact_table_fails_the_partition_row_first_at_it(
+    monkeypatch, side
+):
+    # neither side reads the exact table to build its row, so both fail first at p(1000)
+    monkeypatch.setattr(partitions, "_table", [1])
+    partition_count(1000)
+    partitions._table[1000] += 1
+    report = residue_class_report(ResidueCheck("partitions", PARTITION_SUM, side), 3000)
+    assert report.failures()[0].index == 1000
 
 
 def test_a_row_given_twice_gives_twice_the_row():
@@ -454,16 +501,15 @@ def test_jacobi_terms_are_the_cube_of_the_euler_product():
         assert TruncatedSeries(coeffs) == euler_product(k) ** 3, k
 
 
-def test_euler_pass_reads_the_nonzero_coefficients_of_the_euler_product():
-    for k in range(2001):
-        nonzero = [(n, c) for n, c in enumerate(euler_product(k).coefficients) if c and n]
-        assert qbell.series._pentagonal_terms(k) == nonzero, k
-    # and the product multiplied out factor by factor, over ints
+def test_euler_product_equals_the_product_multiplied_out_factor_by_factor():
+    # over ints, through x^2000; E(x) through x^k is that product cut at k, as no factor
+    # (1 - x^j) with j > k touches a coefficient <= k
     direct = [1] + [0] * 2000
     for j in range(1, 2001):
         for i in range(2000, j - 1, -1):
             direct[i] -= direct[i - j]
-    assert qbell.series._pentagonal_terms(2000) == [(n, c) for n, c in enumerate(direct) if c and n]
+    for k in range(2001):
+        assert euler_product(k).coefficients == tuple(direct[: k + 1]), k
 
 
 def flipped_at(terms, offset):
@@ -489,14 +535,16 @@ def test_a_flipped_jacobi_term_fails_both_product_reports_from_its_index(monkeyp
 
 
 def test_a_flipped_pentagonal_term_fails_only_the_rows_with_an_euler_pass(monkeypatch, capsys):
-    # E's +x^5 becomes -x^5 in the E pass alone: the numerator reads euler_product, held here
-    # to its true values.  G (b = 4) and H (b = 8) run E passes; P5K4 (b = 6) runs none.
+    # The E pass reads the offset 6 for 5, so E's +x^5 becomes +x^6: the numerator reads
+    # euler_product, held here to its true values.  G (b = 4) and H (b = 8) run E passes;
+    # P5K4 (b = 6) runs none.
     true_euler = euler_product(400)
     monkeypatch.setattr(qbell.series, "euler_product",
                         lambda order: TruncatedSeries(true_euler.coefficients, order))
-    monkeypatch.setattr(qbell.series, "_pentagonal_terms",
-                        flipped_at(qbell.series._pentagonal_terms, 5))
-    assert qbell.series._pentagonal_terms(5)[-1] == (5, -1)
+    pentagonal_numbers = partitions.pentagonal_numbers
+    monkeypatch.setattr(qbell.series, "pentagonal_numbers",
+                        lambda n: [6 if g == 5 else g for g in pentagonal_numbers(n)])
+    assert qbell.series.pentagonal_numbers(7) == [1, 2, 6, 7]
     eq3 = first_failure(verify_p7n5_identity(400), capsys, ["verify", "eq3", "--order", "400"])
     eq2 = first_failure(verify_p5k4_identity(400), capsys, ["verify", "eq2", "--order", "400"])
     assert (eq3, eq2) == (5, None)
@@ -514,7 +562,7 @@ def test_a_negative_order_is_refused_before_any_division(monkeypatch, capsys, bu
     def unbuilt(*args):
         raise AssertionError("did work for a refused order")
 
-    for name in ("_jacobi_terms", "_pentagonal_terms", "_divide_by_euler_power"):
+    for name in ("_jacobi_terms", "pentagonal_numbers", "_divide_by_euler_power"):
         monkeypatch.setattr(qbell.series, name, unbuilt)
     try:
         code = build()
