@@ -5,9 +5,18 @@ coefficient per line; ``verify`` prints a JSON report and exits 0 only when
 every check passed.  Diagnostics go to stderr, output is byte-identical
 across runs.
 
-Each subparser declares its handler ``run`` (returning the exit code, None
-for 0) and its ``bounds``, rows of (label, dest, smallest or None, largest)
-accepted size; ``main`` checks every bound before it calls the handler.
+Each leaf of the parser tree, ``_TREE``, declares its handler ``run``
+(returning the exit code, None for 0) and its ``bounds``, rows of (label,
+dest, smallest or None, largest) accepted size; ``main`` checks every bound
+before it calls the handler.
+
+A run builds only the parsers that its argv names, read by ``_path``: for
+``verify eq3 ...`` the top parser, ``verify`` and ``eq3``, 3 of 12.  An
+argv that starts with an option, or that names no known command or target,
+builds the whole tree, so every help text and every error that lists the
+choices comes from it.  Every output stays byte-identical: argparse reads a
+path's argv down that same path and never reaches the parsers left out,
+and a path build's usage lines list every choice, as the whole tree's do.
 
 Exit codes: 0 success or verified, 1 a verification entry failed, 2 usage
 or parse error, 3 precondition violation, a size past its cap included.
@@ -18,6 +27,7 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 from . import series
@@ -111,63 +121,112 @@ def parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"zero denominator: {text!r}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(path=()) -> argparse.ArgumentParser:
+    """The front end's parsers: the whole tree, or only those on a path from the top to a leaf.
+
+    On a path each subparsers action takes the whole tree's choices text as
+    its metavar, so its usage line reads as on the whole tree.  The whole
+    tree keeps argparse's default, which names the action by its dest in an
+    invalid-choice error.
+    """
     parser = argparse.ArgumentParser(
         prog="qbell",
         description="Exact Bell polynomials, partition counts, divisor sums, "
         "and truncated q-series, with identity verification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    _declare_tree(parser, _TREE, path)
+    return parser
 
-    p = sub.add_parser("partition", help="print p(n)")
+
+def _declare_tree(parser: argparse.ArgumentParser, tree, path) -> None:
+    """Add tree's subcommands to parser: all of them, or on a path the one it names."""
+    dest, commands = tree
+    metavar = {"metavar": "{" + ",".join(commands) + "}"} if path else {}
+    sub = parser.add_subparsers(dest=dest, required=True, **metavar)
+    for name, (kwargs, declare) in commands.items():
+        if not path or name == path[0]:
+            p = sub.add_parser(name, **kwargs)
+            if callable(declare):
+                declare(p)
+            else:
+                _declare_tree(p, declare, path[1:])
+
+
+def _path(argv) -> tuple:
+    """argv's leading command names when they reach a leaf parser, else (): the whole tree."""
+    _, commands = _TREE
+    for depth, word in enumerate(argv):
+        if word not in commands:
+            return ()
+        declare = commands[word][1]
+        if callable(declare):
+            return tuple(argv[: depth + 1])
+        _, commands = declare
+    return ()
+
+
+def _declare_partition(p: argparse.ArgumentParser) -> None:
     p.add_argument("n", type=_parse_int)
     p.set_defaults(run=lambda args: print(partition_count(args.n)), bounds=())
 
-    p = sub.add_parser("sigma", help="print the sum of divisors of n")
+
+def _declare_sigma(p: argparse.ArgumentParser) -> None:
     p.add_argument("n", type=_parse_int)
     p.set_defaults(run=lambda args: print(sigma(args.n)), bounds=())
 
-    p = sub.add_parser("coeff", help="print the coefficient d_n or e_n")
+
+def _declare_coeff(p: argparse.ArgumentParser) -> None:
     p.add_argument("which", choices=("d", "e"))
     p.add_argument("n", type=_parse_int)
     p.set_defaults(run=_cmd_coeff, bounds=())
 
-    bell = sub.add_parser(
-        "bell",
-        help="print the complete Bell polynomial B_n(x1, ..., xn)",
-        description="Arguments are exact rationals, written num or num/den.",
-    )
-    bell.add_argument("n", type=_parse_int)
-    bell.add_argument("xs", nargs=argparse.REMAINDER, metavar="x")
-    bell.set_defaults(run=lambda args: _cmd_bell(bell, args),
-                      bounds=[("bell n", "n", None, _BELL_MAX_N)])
 
-    p = sub.add_parser(
-        "series", help="print a truncated series, one coefficient per line"
-    )
+def _declare_bell(p: argparse.ArgumentParser) -> None:
+    p.add_argument("n", type=_parse_int)
+    p.add_argument("xs", nargs=argparse.REMAINDER, metavar="x")
+    p.set_defaults(run=lambda args: _cmd_bell(p, args),
+                   bounds=[("bell n", "n", None, _BELL_MAX_N)])
+
+
+def _declare_series(p: argparse.ArgumentParser) -> None:
     p.add_argument("which", choices=tuple(_SERIES))
     p.add_argument("--order", type=_parse_int, required=True)
     # the same G and H as verify eq3, so the same cap
     cap = _order_cap(series.P7N5_SERIES)
     p.set_defaults(run=_cmd_series, bounds=[("series --order", "order", None, cap)])
 
-    v = sub.add_parser("verify", help="run a verification report (JSON on stdout)")
-    vsub = v.add_subparsers(dest="target", required=True)
-    for target in _VERIFY_TARGETS:
-        p = vsub.add_parser(target.name, help=target.help)
-        p.add_argument(target.flag, type=_parse_int, required=True)
-        _declare_verify(p, [target])
-    p = vsub.add_parser("all", help="every verification at full scale")
+
+def _declare_target(target: _Target, p: argparse.ArgumentParser) -> None:
+    p.add_argument(target.flag, type=_parse_int, required=True)
+    _declare_verify(p, [target])
+
+
+def _declare_all(p: argparse.ArgumentParser) -> None:
     for flag, size in _VERIFY_ALL_SIZES.items():
         p.add_argument(flag, type=_parse_int, default=size)
     _declare_verify(p, _VERIFY_TARGETS)
-
-    return parser
 
 
 def _declare_verify(p: argparse.ArgumentParser, targets) -> None:
     bounds = [(f"verify {t.name} {t.flag}", t.size, t.smallest, t.cap) for t in targets]
     p.set_defaults(run=_cmd_verify, targets=targets, bounds=bounds)
+
+
+# The parser tree, (dest, {name: (add_parser keywords, declare)}) in help order: a leaf's
+# declare adds its arguments and its defaults, a branch's is the tree of its subcommands.
+_TREE = ("command", {
+    "partition": ({"help": "print p(n)"}, _declare_partition),
+    "sigma": ({"help": "print the sum of divisors of n"}, _declare_sigma),
+    "coeff": ({"help": "print the coefficient d_n or e_n"}, _declare_coeff),
+    "bell": ({"help": "print the complete Bell polynomial B_n(x1, ..., xn)",
+              "description": "Arguments are exact rationals, written num or num/den."},
+             _declare_bell),
+    "series": ({"help": "print a truncated series, one coefficient per line"}, _declare_series),
+    "verify": ({"help": "run a verification report (JSON on stdout)"}, ("target", {
+        **{t.name: ({"help": t.help}, partial(_declare_target, t)) for t in _VERIFY_TARGETS},
+        "all": ({"help": "every verification at full scale"}, _declare_all),
+    })),
+})
 
 
 def _cmd_coeff(args: argparse.Namespace) -> None:
@@ -214,7 +273,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     """Run one invocation; returns the process exit code instead of exiting."""
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(_path(argv))
     try:
         args = parser.parse_args(argv)
         # every cap first, so a size past its cap is named whatever the others are

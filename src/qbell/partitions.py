@@ -223,7 +223,9 @@ def pentagonal_numbers(n: int) -> list[int]:
 def _divide_by_euler(q: list[int], numerator: list[int], end: int, offsets: list[int]) -> None:
     """Extend q, the first terms of N / E(x), through q_(end - 1).
 
-    N is numerator, then zeros.  E is the Euler product, so E q = N reads
+    N is numerator, then zeros; each block clears the numerator's entries
+    it reads, so q and numerator together hold each value once.  E is the
+    Euler product, so E q = N reads
     q_m = N_m + sum_g (+/-) q_(m-g) over the generalized pentagonal g <= m,
     and the partition table is the case N = 1.  offsets lists those
     numbers in increasing order, at least every one below end.  The
@@ -237,6 +239,7 @@ def _divide_by_euler(q: list[int], numerator: list[int], end: int, offsets: list
         hi = min(lo + _BLOCK, end)
         small = bisect_left(offsets, hi - lo)
         zeros, head = [0] * (hi - lo), numerator[lo:hi]
+        numerator[lo:hi] = zeros[: len(head)]
         plus, minus = [head + zeros[len(head):]], [zeros]
         # The signs of the offsets run + + - - and repeat, so offset i is added when
         # i & 2 == 0.  An offset g >= hi - lo reads q_(m - g) with m - g < lo for every m in

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count
 from math import lcm
 from operator import add, attrgetter, mul
 
@@ -504,11 +504,12 @@ def residue_class_report(check: ResidueCheck, size: int) -> VerificationReport:
     partition_count(modulus * size + residue)  # the bound and a one-time fill, before the build
     built = (sum((_bell_row(row, size) for row in eta_rows), TruncatedSeries.zero(size)) if bell
              else _eta_sum(eta_rows, size))
-    scales = accumulate(range(1, size + 1), mul) if bell else repeat(1)  # n! on the Bell side
-    rows = (
-        (n, scale * computed, scale * partition_count(modulus * n + residue))
-        for n, computed, scale in zip(count(first), built.coefficients[first:], scales)
-    )
+    rows = ((n, computed, partition_count(modulus * n + residue))
+            for n, computed in zip(count(first), built.coefficients[first:]))
+    if bell:  # n! times both values; a product-side row holds its two ints uncopied
+        scales = accumulate(range(1, size + 1), mul)
+        rows = ((n, scale * computed, scale * expected)
+                for (n, computed, expected), scale in zip(rows, scales))
     return VerificationReport.from_rows(check.label, rows)
 
 

@@ -1,5 +1,6 @@
 """Command line behaviour: output formats, JSON reports, exit codes."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -217,6 +218,85 @@ def test_unknown_command_usage_error_is_pinned(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["nope"])
     assert (code, out) == (2, "")
     assert err in errs
+
+
+# -- parser builds -----------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        # help at every level; an option first, or in place of a target, builds the whole tree
+        (["--help"], ()),
+        (["-h", "verify"], ()),
+        (["partition", "--help"], ("partition",)),
+        (["sigma", "--help"], ("sigma",)),
+        (["coeff", "--help"], ("coeff",)),
+        (["bell", "--help"], ("bell",)),
+        (["series", "--help"], ("series",)),
+        (["verify", "--help"], ()),
+        (["verify", "-h", "theorem"], ()),
+        *[(["verify", name, "--help"], ("verify", name))
+          for name in ("theorem", "eq2", "eq3", "congruences", "all")],
+        # usage errors: the top parser's own usage, a bad int, missing arguments, bad choices
+        (["verify", "theorem", "--max-n", "5", "junk"], ("verify", "theorem")),
+        (["partition", "abc"], ("partition",)),
+        (["partition"], ("partition",)),
+        (["verify", "theorem"], ("verify", "theorem")),
+        (["series", "G"], ("series",)),
+        (["series", "cosine", "--order", "3"], ("series",)),
+        (["coeff", "q", "3"], ("coeff",)),
+        (["bell", "2", "4"], ("bell",)),
+        (["verify", "all", "--order", "x"], ("verify", "all")),
+        (["verify"], ()),
+        (["verify", "nothing", "--max-n", "3"], ()),
+        (["verify", "--", "theorem", "--max-n", "3"], ()),
+        ([], ()),
+        (["nope"], ()),
+        # each cap plus one
+        (["verify", "theorem", "--max-n", "1524"], ("verify", "theorem")),
+        (["verify", "eq2", "--order", "40000"], ("verify", "eq2")),
+        (["verify", "eq3", "--order", "28571"], ("verify", "eq3")),
+        (["verify", "congruences", "--max-k", "18182"], ("verify", "congruences")),
+        (["verify", "all", "--max-n", "1524"], ("verify", "all")),
+        (["series", "H", "--order", "28571"], ("series",)),
+        (["bell", "1001", *["1"] * 1001], ("bell",)),
+        (["partition", "200001"], ("partition",)),
+        # passing runs
+        (["partition", "12"], ("partition",)),
+        (["sigma", "12"], ("sigma",)),
+        (["coeff", "d", "7"], ("coeff",)),
+        (["bell", "2", "4", "12"], ("bell",)),
+        (["series", "G", "--order", "5"], ("series",)),
+        (["verify", "theorem", "--max-n", "3"], ("verify", "theorem")),
+        (["verify", "eq3", "--order", "3"], ("verify", "eq3")),
+        (["verify", "all", "--max-n", "3", "--order", "3", "--max-k", "3"], ("verify", "all")),
+    ],
+)
+def test_a_path_build_prints_as_the_whole_tree(capsys, monkeypatch, argv, path):
+    # the same exit code, stdout and stderr from the parsers on argv's path as from all of them
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli._path(argv) == path
+    on_path = run_cli(capsys, argv)
+    monkeypatch.setattr(cli, "_path", lambda argv: ())
+    assert run_cli(capsys, argv) == on_path
+
+
+def test_a_run_builds_only_the_parsers_its_argv_names(capsys, monkeypatch):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    argv = ["verify", "eq3", "--order", "3"]
+    on_path = run_cli(capsys, argv)
+    assert progs == ["qbell", "qbell verify", "qbell verify eq3"]
+    progs.clear()
+    monkeypatch.setattr(cli, "_path", lambda argv: ())
+    assert run_cli(capsys, argv) == on_path
+    assert len(progs) == 12
 
 
 def test_verify_all_emits_array(capsys):
