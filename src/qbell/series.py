@@ -351,11 +351,11 @@ def euler_product(order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
-def _divide_by_euler_power(coeffs: list[int], b: int, cube, offsets) -> None:
+def _divide_by_euler_power(coeffs: list[int], b: int) -> None:
     """Divide coeffs, a series through x^(len(coeffs) - 1), by E(x)^b in place.
 
     E^b is (E^3)^(b // 3) E^(b % 3).  An E^3 pass divides by Jacobi's
-    sparse series, whose terms (j, D_j) cube lists, D_0 = 1:
+    sparse series, whose terms (j, D_j) ``_jacobi_terms`` lists, D_0 = 1:
         out_n = N_n - sum_{j>=1} D_j out_(n-j)
     over the nonzero D_j only, for n upwards.  An E pass is the exact
     partition table's block kernel, ``_divide_by_euler``, on the pentagonal
@@ -363,6 +363,7 @@ def _divide_by_euler_power(coeffs: list[int], b: int, cube, offsets) -> None:
     fault in it fails the report.  No step divides, so ints stay ints.
     """
     order = len(coeffs) - 1
+    cube, offsets = _jacobi_terms(order), pentagonal_numbers(order)
     for _ in range(b // 3):
         for n in range(1, order + 1):
             acc = coeffs[n]
@@ -377,49 +378,45 @@ def _divide_by_euler_power(coeffs: list[int], b: int, cube, offsets) -> None:
         coeffs[:] = quotient
 
 
-def _numerator(row: EtaQuotient, order: int) -> list[int]:
-    """A row's scale x^shift E(x^r)^a through x^order, E(x^r)^a spread from E(y)^a at order // r."""
-    power = TruncatedSeries((euler_product(order // row.r) ** row.a).coefficients, order)
-    coeffs = [0] * row.shift + [row.scale * c for c in power.substitute_power(row.r).coefficients]
-    del coeffs[order + 1:]
-    return coeffs
+def _add_row(total: list, row: EtaQuotient, values, step: int = 1) -> None:
+    """Add row.scale x^row.shift f(x^step) into total in place, f's coefficients being values.
+
+    Terms past total's end are dropped, and zero values skipped: ``big + 0`` copies big.
+    """
+    for n, value in zip(range(row.shift, len(total), step), values):
+        if value:
+            total[n] += row.scale * value
 
 
 def _eta_sum(rows: Iterable[EtaQuotient], order: int) -> TruncatedSeries:
     """The sum of the rows scale x^shift E(x^r)^a / E(x)^b through x^order, order >= 0.
 
-    The product side's one builder.  With the rows sorted by b, largest
-    first, it adds row i's numerator to one running list, then divides the
-    list in place by E^(b_i - b_(i+1)), b_(m+1) = 0 after the last row m:
-    the links divide the whole sum by its largest E^b once, so G + H runs
-    two E^3 and two E passes, not three of each.  Division by sparse series
-    builds no dense E^-b; ``inverse`` and negative powers remain the tests'
-    oracle for it.
+    The product side's one builder, for one row or more.  With the rows
+    sorted by b, largest first, ``_add_row`` adds row i's numerator, E(y)^a
+    at order // r with y = x^r, into one list, which is then divided in place
+    by E^(b_i - b_(i+1)), b_(m+1) = 0 after the last row m: the whole sum is
+    divided by its largest E^b once, so G + H runs two E^3 and two E passes,
+    not three of each.  No dense E^-b is built; ``inverse`` and negative
+    powers remain the tests' oracle for the division.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     chain = sorted(rows, key=attrgetter("b"), reverse=True)
-    cube, offsets = _jacobi_terms(order), pentagonal_numbers(order)  # once per chain
     total = [0] * (order + 1)
     for row, below in zip(chain, [*(row.b for row in chain[1:]), 0]):
-        total = list(map(add, total, _numerator(row, order)))
-        _divide_by_euler_power(total, row.b - below, cube, offsets)
+        _add_row(total, row, (euler_product(order // row.r) ** row.a).coefficients, row.r)
+        _divide_by_euler_power(total, row.b - below)
     return TruncatedSeries(total)
-
-
-def _eta_quotient(row: EtaQuotient, order: int) -> TruncatedSeries:
-    """One row scale x^shift E(x^r)^a / E(x)^b through x^order: a chain of one."""
-    return _eta_sum((row,), order)
 
 
 def series_g(order: int) -> TruncatedSeries:
     """G(x) = 7 (x^7;x^7)_inf^3 / (x;x)_inf^4 through x^order."""
-    return _eta_quotient(G, order)
+    return _eta_sum((G,), order)
 
 
 def series_h(order: int) -> TruncatedSeries:
     """H(x) = 49 x (x^7;x^7)_inf^7 / (x;x)_inf^8 through x^order."""
-    return _eta_quotient(H, order)
+    return _eta_sum((H,), order)
 
 
 def extract_log_coefficients(row: EtaQuotient, order: int) -> list[int | Fraction]:
@@ -434,24 +431,11 @@ def extract_log_coefficients(row: EtaQuotient, order: int) -> list[int | Fractio
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    coeffs = _eta_quotient(row, order + row.shift).coefficients[row.shift:]
+    coeffs = _eta_sum((row,), order + row.shift).coefficients[row.shift:]
     return list((TruncatedSeries(coeffs) / row.scale).log().coefficients[1:])
 
 
 # -- coefficient-level verification ----------------------------------------
-
-
-def _bell_row(row: EtaQuotient, order: int) -> TruncatedSeries:
-    """The same row from its weights i c_i = _weight(i, row): scale x^shift exp(sum c_i x^i).
-
-    The weights go straight to ``_exp``: a true row's are non-negative ints
-    and so are its exp coefficients, so the packed route runs.  A wrong
-    weight that is a ``Fraction``, or one that makes some E_n a fraction,
-    runs the step-by-step loop, not an error.  The monomial is the left
-    factor, as ``__mul__`` loops over the left factor's nonzero terms.
-    """
-    exp = TruncatedSeries(_exp([_weight(i, row) for i in range(1, order + 1)]))
-    return TruncatedSeries.monomial(row.shift, order, row.scale) * exp
 
 
 # Each check's label, sum and side, written once: the theorem, eq2, eq3 and the classical
@@ -478,15 +462,17 @@ def residue_class_report(check: ResidueCheck, size: int) -> VerificationReport:
     """Check p(modulus n + residue) on the check's classes for SMALLEST_SIZE[side] <= n <= size.
 
     The "product" side checks coefficient n of the sum of its rows' eta
-    quotients, built in one chain by ``_eta_sum``.  The "bell" side builds
-    each row by ``_bell_row`` and checks n! times both values: by the
-    exponential formula, n! [x^n] of a row is scale (n!/(n-shift)!)
-    B_(n-shift)(1! c_1, 2! c_2, ...), so ``BELL_IDENTITY`` is the theorem of
-    :mod:`qbell.identity`.  The "congruence" side checks each family's
-    residues against 0 on a table of p(n) mod the moduli's lcm from
-    ``partition_residues``, not the exact table.  The side and the size are
-    checked, then the largest p(n) is read, which checks its bound and fills
-    its table, before other work.
+    quotients, built in one chain by ``_eta_sum``.  The "bell" side adds
+    each row, scale x^shift exp(sum c_i x^i) from its weights i c_i =
+    _weight(i, row) by ``_exp``, into one list, and checks n! times both
+    values: by the exponential formula, n! [x^n] of a row is scale
+    (n!/(n-shift)!) B_(n-shift)(1! c_1, 2! c_2, ...), so ``BELL_IDENTITY`` is
+    the theorem of :mod:`qbell.identity`.  A wrong weight that makes some
+    E_n a fraction runs ``_exp``'s loop, not an error.  The "congruence"
+    side checks each family's residues against 0 on a table of p(n) mod the
+    moduli's lcm from ``partition_residues``, not the exact table.  The side
+    and the size are checked, then the largest p(n) is read, which checks
+    its bound and fills its table, before other work.
     """
     first = SMALLEST_SIZE.get(check.side)
     if first is None:
@@ -502,10 +488,14 @@ def residue_class_report(check: ResidueCheck, size: int) -> VerificationReport:
     bell = check.side == "bell"
     modulus, residue, eta_rows = check.sum
     partition_count(modulus * size + residue)  # the bound and a one-time fill, before the build
-    built = (sum((_bell_row(row, size) for row in eta_rows), TruncatedSeries.zero(size)) if bell
-             else _eta_sum(eta_rows, size))
+    if bell:
+        built = [0] * (size + 1)
+        for row in eta_rows:
+            _add_row(built, row, _exp([_weight(i, row) for i in range(1, size + 1)]))
+    else:
+        built = _eta_sum(eta_rows, size).coefficients
     rows = ((n, computed, partition_count(modulus * n + residue))
-            for n, computed in zip(count(first), built.coefficients[first:]))
+            for n, computed in zip(count(first), built[first:]))
     if bell:  # n! times both values; a product-side row holds its two ints uncopied
         scales = accumulate(range(1, size + 1), mul)
         rows = ((n, scale * computed, scale * expected)

@@ -19,7 +19,7 @@ from qbell import cli
 from qbell.identity import verify_congruences, verify_theorem
 from qbell.partitions import partition_count
 from qbell.reports import DIGIT_LIMIT, format_exact, write_json
-from qbell.series import verify_p5k4_identity, verify_p7n5_identity
+from qbell.series import TruncatedSeries, verify_p5k4_identity, verify_p7n5_identity
 
 
 def run_cli(capsys, argv):
@@ -135,26 +135,40 @@ def test_verify_congruences_output_bytes_are_pinned(capsys):
     assert digest == "0e7f7392d4ff9ad40a0dcbb17d9b75668b83683bde9ebc85f8df8320c2cc7247"
 
 
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        (["verify", "theorem", "--max-n", "384"],
-         "58ea816d7acb3f4c7762ac5fcd5d8b3359642ebcdbf0a01892c1a751e5981234"),
-        (["verify", "eq3", "--order", "400"],
-         "1640ec2bfab2da492537438e8b7ff08f166e0402adf85aaff5f99342e936c7e7"),
-        (["verify", "eq2", "--order", "400"],
-         "d9ac4a7ee3c12b49861d22b84fa45f6da18c8212e2e90acceff1dfe37e6966a9"),
-        (["verify", "all"],
-         "c66c72e87d99237e2c111dca74e868d1becb510da9491f503d07ac4021de8ec4"),
-        (["series", "euler", "--order", "400"],
-         "7f5d71ea9eb01cf358b8e1919db0fa4e0cb0f7e45167ac5d71320eb6d360c639"),
-        (["series", "G", "--order", "400"],
-         "ae5d52f3b532b92415d0f5ba5314bc410b47be4dd04c8ee4e35e2b633d057bd6"),
-        (["series", "H", "--order", "400"],
-         "cdf0e3520f8e11db3c71e44af07bcc2d5797d3587d2d9bb31ca30db4c5348e71"),
-    ],
-)
+PINNED_OUTPUTS = [
+    (["verify", "theorem", "--max-n", "384"],
+     "58ea816d7acb3f4c7762ac5fcd5d8b3359642ebcdbf0a01892c1a751e5981234"),
+    (["verify", "eq3", "--order", "400"],
+     "1640ec2bfab2da492537438e8b7ff08f166e0402adf85aaff5f99342e936c7e7"),
+    (["verify", "eq2", "--order", "400"],
+     "d9ac4a7ee3c12b49861d22b84fa45f6da18c8212e2e90acceff1dfe37e6966a9"),
+    (["verify", "all"],
+     "c66c72e87d99237e2c111dca74e868d1becb510da9491f503d07ac4021de8ec4"),
+    (["series", "euler", "--order", "400"],
+     "7f5d71ea9eb01cf358b8e1919db0fa4e0cb0f7e45167ac5d71320eb6d360c639"),
+    (["series", "G", "--order", "400"],
+     "ae5d52f3b532b92415d0f5ba5314bc410b47be4dd04c8ee4e35e2b633d057bd6"),
+    (["series", "H", "--order", "400"],
+     "cdf0e3520f8e11db3c71e44af07bcc2d5797d3587d2d9bb31ca30db4c5348e71"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_OUTPUTS)
 def test_verify_output_bytes_are_pinned(capsys, argv, digest):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [p for p in PINNED_OUTPUTS if p[0][1] in ("all", "G")])
+def test_verify_all_and_series_run_no_dense_series_algebra(capsys, monkeypatch, argv, digest):
+    # both sides build on int lists: no product, sum, monomial, zero or spread of a series
+    def dense(*args):
+        raise AssertionError("ran dense series algebra")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "monomial", "zero",
+                 "substitute_power"):
+        monkeypatch.setattr(TruncatedSeries, name, dense)
     code, out, err = run_cli(capsys, argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest

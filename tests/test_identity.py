@@ -176,10 +176,11 @@ def test_verify_theorem_validation():
 
 @pytest.mark.parametrize("report, size", [(verify_theorem, 28571), (verify_congruences, 18182)])
 def test_reports_refuse_a_size_before_any_work(monkeypatch, report, size):
-    def unbuilt(_row, _order):
-        raise AssertionError("built a Bell-side row for a refused size")
+    def unbuilt(*args):
+        raise AssertionError("built a row for a refused size")
 
-    monkeypatch.setattr(qbell.series, "_bell_row", unbuilt)
+    for name in ("_exp", "_eta_sum"):
+        monkeypatch.setattr(qbell.series, name, unbuilt)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="capped"):
         report(size)

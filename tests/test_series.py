@@ -270,7 +270,15 @@ def test_bell_rows_equal_their_eta_quotients_at_full_depth(monkeypatch):
 
     monkeypatch.setattr(qbell.series, "_exp_loop", loop)
     for row in (G, H, P5K4):
-        assert qbell.series._bell_row(row, 1523) == qbell.series._eta_quotient(row, 1523)
+        assert bell_row(row, 1523) == list(qbell.series._eta_sum((row,), 1523).coefficients)
+
+
+def bell_row(row, order):
+    """The row as the Bell side builds it: scale x^shift exp(sum (w_i / i) x^i), w_i its weights."""
+    built = [0] * (order + 1)
+    weights = [_weight(i, row) for i in range(1, order + 1)]
+    qbell.series._add_row(built, row, qbell.series._exp(weights))
+    return built
 
 
 def _euler_weights(exponents):
@@ -377,7 +385,7 @@ def test_series_h_first_coefficients():
 @pytest.mark.parametrize("target", [SUM_7N5, SUM_5K4], ids=["SUM_7N5", "SUM_5K4"])
 def test_every_table_sum_counts_partitions_in_its_residue_class(target):
     # the table entry alone, apart from the eq2/eq3 reports that read it
-    rows = (qbell.series._eta_quotient(row, 40) for row in target.rows)
+    rows = (qbell.series._eta_sum((row,), 40) for row in target.rows)
     total = sum(rows, TruncatedSeries.zero(40))
     for n in range(41):
         assert total[n] == partition_count(target.modulus * n + target.residue)
@@ -391,7 +399,7 @@ def test_eta_quotient_equals_its_product_at_full_order(row):
         e1 = euler_product(k)
         full = (TruncatedSeries.monomial(row.shift, k, row.scale)
                 * (e1.substitute_power(row.r) ** row.a) * (e1 ** -row.b))
-        assert qbell.series._eta_quotient(row, k) == full, k
+        assert qbell.series._eta_sum((row,), k) == full, k
 
 
 def full_order_product(row, k):
@@ -475,14 +483,32 @@ def test_a_bumped_entry_of_a_fresh_exact_table_fails_the_partition_row_first_at_
     assert report.failures()[0].index == 1000
 
 
+@pytest.mark.parametrize("row", [G, H, P5K4, EtaQuotient(3, 2, 2, 3, 0)],
+                         ids=["G", "H", "P5K4", "shift-2"])
+def test_add_row_adds_the_scaled_shifted_spread_series_and_leaves_the_rest(row):
+    # f(x^step) for both steps a row is added with, f reaching past total's end and short of
+    # it; every entry the row adds 0 to, a zero value or past its reach, keeps its object
+    order = 60
+    for step in (1, row.r):
+        for reach in (order // step, order // (3 * step)):
+            values = (euler_product(reach) ** row.a).coefficients
+            spread = TruncatedSeries(values, order).substitute_power(step)
+            added = (TruncatedSeries.monomial(row.shift, order, row.scale) * spread).coefficients
+            before = [10**40 + n for n in range(order + 1)]
+            total = list(before)
+            qbell.series._add_row(total, row, values, step)
+            assert total == [t + c for t, c in zip(before, added)], (step, reach)
+            assert all(total[n] is before[n] for n, c in enumerate(added) if not c), (step, reach)
+
+
 def test_a_row_given_twice_gives_twice_the_row():
     # the two b tie, so the first link divides by E^0
     for row in (G, H, P5K4):
-        assert qbell.series._eta_sum((row, row), 60) == 2 * qbell.series._eta_quotient(row, 60)
+        assert qbell.series._eta_sum((row, row), 60) == 2 * qbell.series._eta_sum((row,), 60)
 
 
 def test_order_zero_gives_each_rows_constant_term():
-    assert [qbell.series._eta_quotient(row, 0).coefficients for row in (G, H, P5K4)] == [
+    assert [qbell.series._eta_sum((row,), 0).coefficients for row in (G, H, P5K4)] == [
         (7,), (0,), (5,)]
     assert qbell.series._eta_sum((G, H), 0).coefficients == (7,)
 
@@ -551,9 +577,9 @@ def test_a_flipped_pentagonal_term_fails_only_the_rows_with_an_euler_pass(monkey
 
 
 @pytest.mark.parametrize("build", [
-    lambda: qbell.series._eta_quotient(G, -1),
-    lambda: qbell.series._eta_quotient(H, -1),
-    lambda: qbell.series._eta_quotient(P5K4, -1),
+    lambda: qbell.series._eta_sum((G,), -1),
+    lambda: qbell.series._eta_sum((H,), -1),
+    lambda: qbell.series._eta_sum((P5K4,), -1),
     lambda: series_g(-1),
     lambda: series_h(-1),
     lambda: cli.main(["verify", "eq2", "--order", "-1"]),
@@ -653,11 +679,11 @@ def test_series_reports_refuse_a_size_before_building_a_series(
 @pytest.mark.parametrize("side", ["Bell", "products", "congruences", ""])
 def test_residue_class_report_refuses_an_unknown_side(monkeypatch, side):
     # a mistyped side is refused, not run as the product side, before the table fills
-    def unbuilt(rows, order):
+    def unbuilt(*args):
         raise AssertionError("built a series for an unknown side")
 
-    monkeypatch.setattr(qbell.series, "_eta_sum", unbuilt)
-    monkeypatch.setattr(qbell.series, "_bell_row", unbuilt)
+    for name in ("_exp", "_eta_sum"):
+        monkeypatch.setattr(qbell.series, name, unbuilt)
     monkeypatch.setattr(partitions, "_table", [1])
     start = time.perf_counter()
     with pytest.raises(ValueError, match="side must be 'bell', 'product' or 'congruence', not"):
@@ -692,15 +718,14 @@ def test_p7n5_report_fails_at_a_bumped_h_coefficient(monkeypatch, capsys):
 
 def test_p7n5_report_first_fails_at_a_bumped_h_numerator(monkeypatch, capsys):
     # H's numerator gets x^17 before the chain divides it: the chain reads every row's numerator
-    numerator = qbell.series._numerator
+    add_row = qbell.series._add_row
 
-    def bumped_h(row, order):
-        coeffs = numerator(row, order)
+    def bumped_h(total, row, values, step=1):
+        add_row(total, row, values, step)
         if row == H:
-            coeffs[17] += 1
-        return coeffs
+            total[17] += 1
 
-    monkeypatch.setattr(qbell.series, "_numerator", bumped_h)
+    monkeypatch.setattr(qbell.series, "_add_row", bumped_h)
     report = verify_p7n5_identity(30)
     assert report.failures()[0].index == 17
     assert report.entries[17].computed == report.entries[17].expected + 1
@@ -761,7 +786,7 @@ def test_named_series_run_over_ints():
     order = 200
     named = [euler_product(order), series_g(order), series_h(order)]
     eq2 = [entry.computed for entry in verify_p5k4_identity(order).entries]
-    theorem = [qbell.series._bell_row(row, order).coefficients for row in SUM_7N5.rows]
+    theorem = [bell_row(row, order) for row in SUM_7N5.rows]
     reports = [qbell.identity.verify_theorem(order), qbell.identity.verify_congruences(order)]
     sides = [value for r in reports for e in r.entries for value in (e.computed, e.expected)]
     for values in [*(s.coefficients for s in named), eq2, *theorem, sides]:
