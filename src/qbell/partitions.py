@@ -5,11 +5,13 @@ the Euler product and P the partition series.  One kernel,
 ``_divide_by_euler``, extends a list by numerator / E in blocks: the
 shared exact table of ``partition_count`` is numerator 1, and the product
 side of ``qbell.series`` divides its numerators by E through it.
-``partition_residues`` fills a table of p(n) mod m afresh for each call, a
-chunk of entries at a time, on residues packed as fixed-width slots of big
-ints: the terms that earlier chunks contribute are added in as shifted
-whole chunks, and a chunk's own terms are one product with the packed
-residues of the first chunk, which the kernel computes.  The slot codec,
+``partition_residues`` fills a table of p(n) modulo several moduli, each
+up to its own n, afresh for each call, a chunk of entries at a time, each
+chunk modulo only the moduli that still reach it, on residues packed as
+fixed-width slots of big ints: the terms that earlier chunks contribute
+are added in as shifted whole chunks, and a chunk's own terms are one
+product with the packed residues of the first chunk, which the kernel
+computes.  The slot codec,
 ``_pack`` and ``_unpack``, also serves the exp kernel of ``qbell.series``.
 """
 
@@ -17,8 +19,9 @@ import sys
 import threading
 from array import array
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
 __all__ = ["partition_count", "partition_count_brute", "BRUTE_LIMIT", "PARTITION_LIMIT"]
 
@@ -76,87 +79,133 @@ def partition_count(n: int) -> int:
     return _table[n]
 
 
-def partition_residues(n: int, modulus: int) -> list[int]:
-    """p(0) .. p(n) mod modulus, for 0 <= n <= PARTITION_LIMIT and modulus >= 1.
+def partition_residues(limits: Iterable[tuple[int, int]]) -> list[int]:
+    """p(0) .. p(N) modulo each modulus up to its own n, for (modulus, n) pairs in limits.
 
-    The pentagonal recurrence has integer coefficients, so it runs mod
-    modulus as it stands.  The fill takes C = ``_CHUNK`` entries at a time,
-    each chunk as a few big-int operations over fixed-width slots packed
-    into one int (Harvey, J. Symb. Comp. 2009):
+    N is the largest n.  Entry i lies in [0, lcm of all moduli) and equals
+    p(i) mod every modulus whose n >= i, so a single pair [(m, n)] gives
+    exactly p(0) % m .. p(n) % m.  The pentagonal recurrence has integer
+    coefficients, so it runs mod any modulus as it stands.  The fill takes
+    C = ``_CHUNK`` entries at a time, each chunk as a few big-int
+    operations over fixed-width slots packed into one int (Harvey, J. Symb.
+    Comp. 2009).  Chunk c runs modulo L_c, the lcm of the moduli whose n
+    reaches its first index c C; L_c divides every earlier one, so the fill
+    narrows as each modulus's range ends, and its slots with it:
 
     - pack: each finished chunk becomes one int, one slot per residue r,
-      and its negation half is that int subtracted from a packed row of C
-      moduli, built once per call: slot i then holds modulus - r_i, which is
-      -r_i mod modulus, and no slot borrows, since every r_i < modulus;
+      once per distinct push width among the chunks it reaches, reduced
+      mod M, the largest L among those chunks, which every later one
+      divides.  Its negation half is that int subtracted from a packed row
+      of C slots of M: slot i then holds M - r_i, which is -r_i mod M, and
+      no slot borrows, since every r_i < M;
     - push: for every generalized pentagonal offset g, the half that g's
       sign selects, shifted by g % C slots, is added into the accumulator of
       the chunk g // C ahead.  An accumulator spans two chunks' slots; after
       the pushes its upper half is carried into the next chunk's accumulator,
-      and its lower half, which held the terms whose source lies in the
-      chunk they reach, is dropped;
+      unpacked, reduced and packed again where the push width changes, and
+      its lower half, which held the terms whose source lies in the chunk
+      they reach, is dropped;
     - read: a chunk's accumulator A then holds the terms of every source in
       an earlier chunk.  By E(x) P(x) = 1, E the Euler product and P the
       partition series, the chunk is A P mod x^C, so A is unpacked, reduced
-      mod modulus, packed again and multiplied by the kernel p(0) .. p(C - 1)
-      mod modulus, packed the same way; the low C slots of the product,
-      reduced, are the chunk.  The kernel is the first chunk: p(0) ..
-      p(C - 1) exactly, by ``_divide_by_euler`` on a list of its own, reduced.
+      mod L, packed again and multiplied by the kernel p(0) .. p(C - 1)
+      mod L, packed the same way; the low C slots of the product, reduced,
+      are the chunk.  The kernel is the first chunk: p(0) .. p(C - 1)
+      exactly, by ``_divide_by_euler`` on a list of its own, reduced.
 
     Slots never carry into each other.  Every addend is non-negative, a -
-    term of r being a + term of modulus - r: a push slot sums at most one
-    value in [0, modulus] per offset, at most len(offsets) * modulus in
-    all, and is sized for at least modulus, so that the row of moduli fits
-    at n = 0, with no offset; a product slot sums at most C products of two
-    residues, at most C (modulus - 1)^2.  Each takes the fewest whole bytes
-    that hold its bound (``_slot_width``), at most the widest array item, 8
-    bytes, so the modulus is at most isqrt((256^8 - 1) // C) + 1, 189812532
+    term of r being a + term of M - r, and a slot's values stay within the
+    bounds that size it, once per phase of chunks of one L:
+
+    - a push slot sums at most one value in [0, M] per offset, M an L of
+      the slot's own width, and a carried slot, reduced where the width
+      changes, stands in for the offsets it holds; so its bound is
+      max(1, len(offsets)) L, at least L, so that the row of moduli fits
+      at N = 0, with no offset;
+    - a product slot sums at most C products of two residues, at most
+      C (L - 1)^2.
+
+    Each takes the fewest whole bytes that hold its bound (``_slot_width``).
+    The congruence families of ``verify congruences --max-k 5000``, (5,
+    25004), (7, 35005) and (11, 55006), run mod 385, then 77 from chunk 49
+    and 11 from chunk 69: push slots of 3, 2 and 2 bytes, product slots of
+    4, 3 and 2.  No slot is wider than the widest array item, 8 bytes, so
+    the lcm of the moduli is at most isqrt((256^8 - 1) // C) + 1, 189812532
     at C = 512.  The list is built afresh for each call and shared with no
-    one.  Raises ``ValueError`` for n < 0 and for n > PARTITION_LIMIT, as
-    ``partition_count`` does, for modulus < 1, and for a modulus above that
-    bound, at every n.
+    one.  Raises ``ValueError`` for no pair, for an n < 0 and for an
+    n > PARTITION_LIMIT, as ``partition_count`` does, for a modulus < 1,
+    and for an lcm above that bound, at every n.
     """
-    if n < 0:
-        raise ValueError("partition_residues is defined for n >= 0")
-    if n > PARTITION_LIMIT:
-        raise ValueError(f"partition_residues is capped at n <= {PARTITION_LIMIT}")
-    if modulus < 1:
-        raise ValueError("partition_residues needs a modulus >= 1")
-    # The product slot bounds the modulus.  The push slot then fits as well:
-    # modulus <= 2^32 at any C >= 1, and 729 offsets reach PARTITION_LIMIT,
+    limits = list(limits)
+    if not limits:
+        raise ValueError("partition_residues needs at least one (modulus, n) pair")
+    for modulus, n in limits:
+        if n < 0:
+            raise ValueError("partition_residues is defined for n >= 0")
+        if n > PARTITION_LIMIT:
+            raise ValueError(f"partition_residues is capped at n <= {PARTITION_LIMIT}")
+        if modulus < 1:
+            raise ValueError("partition_residues needs a modulus >= 1")
+    # The product slot bounds the lcm.  The push slot then fits as well:
+    # the lcm is <= 2^32 at any C >= 1, and 729 offsets reach PARTITION_LIMIT,
     # so a push slot sums at most 729 * 2^32 < 256^8.
     largest = isqrt((256**_WIDEST - 1) // _CHUNK) + 1
-    if modulus > largest:
+    if lcm(*(m for m, _ in limits)) > largest:
         raise ValueError(f"partition_residues packs no modulus above {largest}")
+    n = max(k for _, k in limits)
     offsets = pentagonal_numbers(n)
-    push = _slot_width(max(1, len(offsets)) * modulus)
-    product = _slot_width(_CHUNK * (modulus - 1) ** 2)
-    half = 8 * push * _CHUNK  # bits per chunk, half an accumulator
     chunks = n // _CHUNK + 1
-    # (chunks ahead, shift in bits, 1 for a - offset) per offset; the signs run + + - -
-    pushes = [(g // _CHUNK, g % _CHUNK * 8 * push, i >> 1 & 1) for i, g in enumerate(offsets)]
+    exact = []  # a list of its own: the shared table stays as it is
+    _divide_by_euler(exact, [1], min(_CHUNK, n + 1), offsets)
+    # L_c per chunk c, and per L, once for its run of chunks: the push and product slot
+    # widths, and the kernel packed at the product width
+    moduli = [lcm(*(m for m, k in limits if k >= c * _CHUNK)) for c in range(chunks)]
+    phases = {}
+    for modulus in moduli:
+        if modulus not in phases:
+            widths = (_slot_width(max(1, len(offsets)) * modulus),
+                      _slot_width(_CHUNK * (modulus - 1) ** 2))
+            phases[modulus] = *widths, _pack([p % modulus for p in exact], widths[1])
+    push = [phases[modulus][0] for modulus in moduli]
+    # Per run of chunks of one push width (the width only falls as c grows): its first and
+    # end chunk, the width, and per offset (chunks ahead, shift in bits, 1 for a - offset);
+    # the signs run + + - -
+    runs = []
+    for width in dict.fromkeys(push):
+        first = push.index(width)
+        shifts = [(g // _CHUNK, g % _CHUNK * 8 * width, i >> 1 & 1) for i, g in enumerate(offsets)]
+        runs.append((first, first + push.count(width), width, shifts))
+    aheads = [g // _CHUNK for g in offsets]
     # Each residue is read from one list, so equal residues share one int
     # object (CPython shares only the ints up to 256), where the list is no
     # longer than the table; past that, a range gives each entry an int of its
     # own, as % does.
-    residues = list(range(modulus)) if modulus <= n + 1 else range(modulus)
-    exact = []  # a list of its own: the shared table stays as it is
-    _divide_by_euler(exact, [1], min(_CHUNK, n + 1), offsets)
-    chunk = [residues[p % modulus] for p in exact]
-    kernel = _pack(chunk, product)
+    residues = list(range(moduli[0])) if moduli[0] <= n + 1 else range(moduli[0])
+    chunk = [residues[p % moduli[0]] for p in exact]
+    rows = {}  # the row of moduli packed per (modulus, width)
     table = chunk[:]
     acc = [0] * chunks
-    moduli = _pack([modulus] * _CHUNK, push)
     for c in range(chunks - 1):
-        packed = _pack(chunk, push)
-        halves = (packed, moduli - packed)
-        for ahead, shift, sign in pushes:
-            if c + ahead >= chunks:
-                break
-            acc[c + ahead] += halves[sign] << shift
-        acc[c + 1] += acc[c] >> half
+        for first, end, width, shifts in runs:
+            lo, hi = bisect_left(aheads, first - c), bisect_left(aheads, end - c)
+            if lo == hi:
+                continue
+            modulus = moduli[max(c, first)]  # the largest L this run reaches from c
+            if (modulus, width) not in rows:
+                rows[modulus, width] = _pack([modulus] * _CHUNK, width)
+            packed = _pack(chunk if modulus == moduli[c] else [r % modulus for r in chunk], width)
+            halves = (packed, rows[modulus, width] - packed)
+            for ahead, shift, sign in shifts[lo:hi]:
+                acc[c + ahead] += halves[sign] << shift
+        carry = acc[c] >> 8 * push[c] * _CHUNK
         acc[c] = 0
+        modulus = moduli[c + 1]
+        if push[c + 1] != push[c]:
+            carry = _pack([a % modulus for a in _unpack(carry, _CHUNK, push[c])], push[c + 1])
+        acc[c + 1] += carry
+        _, product, kernel = phases[modulus]
         width = min(_CHUNK, n + 1 - (c + 1) * _CHUNK)  # entries in chunk c + 1
-        terms = _pack([a % modulus for a in _unpack(acc[c + 1], width, push)], product)
+        terms = _pack([a % modulus for a in _unpack(acc[c + 1], width, push[c + 1])], product)
         chunk = [residues[v % modulus] for v in _unpack(terms * kernel, width, product)]
         table += chunk
     return table

@@ -19,7 +19,6 @@ from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 from itertools import accumulate, count
-from math import lcm
 from operator import add, attrgetter, mul
 
 from .numtheory import SUM_5K4, SUM_7N5, EtaQuotient, G, H, _weight
@@ -469,10 +468,11 @@ def residue_class_report(check: ResidueCheck, size: int) -> VerificationReport:
     (n!/(n-shift)!) B_(n-shift)(1! c_1, 2! c_2, ...), so ``BELL_IDENTITY`` is
     the theorem of :mod:`qbell.identity`.  A wrong weight that makes some
     E_n a fraction runs ``_exp``'s loop, not an error.  The "congruence"
-    side checks each family's residues against 0 on a table of p(n) mod the
-    moduli's lcm from ``partition_residues``, not the exact table.  The side
-    and the size are checked, then the largest p(n) is read, which checks
-    its bound and fills its table, before other work.
+    side checks each family's residues against 0 on one table from
+    ``partition_residues``, given each family's (modulus, last index), not
+    the exact table: it runs mod the moduli's lcm and narrows as each
+    family ends.  The side and the size are checked, then the largest p(n)
+    is read, which checks its bound and fills its table, before other work.
     """
     first = SMALLEST_SIZE.get(check.side)
     if first is None:
@@ -480,8 +480,7 @@ def residue_class_report(check: ResidueCheck, size: int) -> VerificationReport:
     if size < first:
         raise ValueError(f"{SIZE_NAME[check.side]} must be >= {first}")
     if check.side == "congruence":
-        largest = max(m * size + r for m, r in check.sum)
-        residues = partition_residues(largest, lcm(*(m for m, _ in check.sum)))
+        residues = partition_residues([(m, m * size + r) for m, r in check.sum])
         rows = ((n, residues[n] % m, 0)
                 for m, r in check.sum for n in range(r, m * size + r + 1, m))
         return VerificationReport.from_rows(check.label, rows)

@@ -155,8 +155,8 @@ def test_theorem_rows_never_fall_back_to_the_exp_loop(monkeypatch):
 
 
 def test_congruence_report_fails_at_a_shifted_partition_count(monkeypatch, capsys):
-    def shifted_residues(n, modulus):
-        residues = partition_residues(n, modulus)
+    def shifted_residues(limits):
+        residues = partition_residues(limits)
         residues[12] += 1
         return residues
 
@@ -192,6 +192,12 @@ def test_partition_residues_vanish():
         assert partition_count(5 * k + 4) % 5 == 0
         assert partition_count(7 * k + 5) % 7 == 0
         assert partition_count(11 * k + 6) % 11 == 0
+    # the same on the residue table of the three families, each reaching its own k = 39
+    residues = partition_residues([(5, 5 * 39 + 4), (7, 7 * 39 + 5), (11, 11 * 39 + 6)])
+    for k in range(40):
+        assert residues[5 * k + 4] % 5 == 0
+        assert residues[7 * k + 5] % 7 == 0
+        assert residues[11 * k + 6] % 11 == 0
 
 
 def test_verify_congruences_report():

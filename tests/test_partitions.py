@@ -7,7 +7,7 @@ import sys
 import threading
 from array import array
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -187,7 +187,30 @@ def test_partition_limit():
 def test_residue_table_matches_the_exact_table_mod_385():
     n = 20_000
     partition_count(n)  # fill the exact table once
-    assert partition_residues(n, 385) == [partition_count(m) % 385 for m in range(n + 1)]
+    assert partition_residues([(385, n)]) == [partition_count(m) % 385 for m in range(n + 1)]
+
+
+def congruence_families(max_k: int) -> list[tuple[int, int]]:
+    """The (modulus, n) pairs of p(5k+4), p(7k+5) and p(11k+6) for k <= max_k."""
+    return [(5, 5 * max_k + 4), (7, 7 * max_k + 5), (11, 11 * max_k + 6)]
+
+
+def assert_residues(limits, table, expected):
+    """table runs to the largest n, in [0, lcm), and holds p(i) mod every modulus whose n >= i."""
+    assert len(table) == max(n for _, n in limits) + 1
+    assert all(0 <= r < lcm(*(m for m, _ in limits)) for r in table)
+    for modulus, n in limits:
+        assert [r % modulus for r in table[: n + 1]] == [p % modulus for p in expected[: n + 1]]
+
+
+@pytest.mark.parametrize("max_k", [0, 1, 46, 47, 100, 5000])
+def test_family_residue_table_matches_the_exact_table(max_k):
+    # At 47 the 11-family's end, 523, crosses the first chunk edge; at 100 each chunk runs
+    # mod its own lcm, 385, 77, then 11; at 5000 the push slot narrows from 3 bytes to 2.
+    limits = congruence_families(max_k)
+    n = max(k for _, k in limits)
+    partition_count(n)  # fill the exact table once
+    assert_residues(limits, partition_residues(limits), [partition_count(m) for m in range(n + 1)])
 
 
 # n on both sides of the first two chunk edges of the packed fill
@@ -207,7 +230,30 @@ CHUNK_EDGES = (partitions._CHUNK - 1, partitions._CHUNK, partitions._CHUNK + 1, 
 @example(n=2 * partitions._CHUNK + partitions._CHUNK // 2, modulus=8)  # a half-full last chunk
 def test_residue_table_matches_the_oracle_mod_any_modulus(n, modulus):
     expected = pentagonal_oracle()
-    assert partition_residues(n, modulus) == [p % modulus for p in expected[: n + 1]]
+    assert partition_residues([(modulus, n)]) == [p % modulus for p in expected[: n + 1]]
+
+
+# ends on and next to the first three chunk edges
+EDGE_ENDS = tuple(k * partitions._CHUNK + d for k in (1, 2, 3) for d in (-1, 0, 1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(pairs=st.lists(
+    st.tuples(st.one_of(st.integers(1, 100), st.integers(1, 10**6)),
+              st.one_of(st.sampled_from(EDGE_ENDS), st.integers(0, ORACLE_LIMIT))),
+    min_size=1, max_size=4))
+@example(pairs=[(10**6, EDGE_ENDS[0]), (7, EDGE_ENDS[1])])
+@example(pairs=[(189_812_532, 600), (2, ORACLE_LIMIT)])  # push slots 5 bytes to 1, products 8 to 2
+@example(pairs=[(5, 1), (7, 1), (11, EDGE_ENDS[5]), (13, EDGE_ENDS[8])])
+@example(pairs=[(3, EDGE_ENDS[2]), (6, 100), (385, 0)])  # the smaller n takes the larger modulus
+def test_narrowing_residue_table_matches_the_oracle(pairs):
+    # the drawn pairs, kept while their lcm fits the widest product slot
+    limits = pairs[:1]
+    for modulus, n in pairs[1:]:
+        if lcm(modulus, *(m for m, _ in limits)) <= largest_modulus(partitions._CHUNK):
+            limits.append((modulus, n))
+    assert_residues(limits, partition_residues(limits), pentagonal_oracle())
+    assert partition_residues(iter(limits)) == partition_residues(limits)
 
 
 def largest_modulus(width: int) -> int:
@@ -225,29 +271,41 @@ def test_residue_table_matches_the_oracle_at_other_chunk_widths(monkeypatch, wid
     expected = pentagonal_oracle()
     for n in sorted({0, 1, width - 1, width, width + 1, 2 * width, ORACLE_LIMIT}):
         for modulus in (1, 7, 385, 10**6, largest_modulus(width)):
-            assert partition_residues(n, modulus) == [p % modulus for p in expected[: n + 1]]
+            assert partition_residues([(modulus, n)]) == [p % modulus for p in expected[: n + 1]]
+        # narrowing from mod 7.7e7, on 7- or 8-byte product slots, to 385, then to 7
+        limits = [(10**6, n // 3), (385, n // 2), (7, n)]
+        assert_residues(limits, partition_residues(limits), expected)
 
 
 def test_residue_table_holds_one_int_per_residue():
     # equal residues are one object, where the modulus is no more than the entries
     n = 2 * partitions._CHUNK
-    residues = partition_residues(n, 385)
+    residues = partition_residues([(385, n)])
     assert len({id(r) for r in residues}) == len(set(residues))
-    assert partition_residues(n, n + 2) == [p % (n + 2) for p in pentagonal_oracle()[: n + 1]]
+    assert partition_residues([(n + 2, n)]) == [p % (n + 2) for p in pentagonal_oracle()[: n + 1]]
 
 
 def test_residue_table_bounds():
-    assert partition_residues(0, 7) == [1]
+    assert partition_residues([(7, 0)]) == [1]
     # no offset reaches 0, but the push slot still holds the row of moduli
     for modulus in (256, 10**6, largest_modulus(partitions._CHUNK)):
-        assert partition_residues(0, modulus) == [1]
-    assert partition_residues(5, 1) == [0] * 6
+        assert partition_residues([(modulus, 0)]) == [1]
+    assert partition_residues([(1, 5)]) == [0] * 6
     with pytest.raises(ValueError, match=">= 0"):
-        partition_residues(-1, 385)
+        partition_residues([(385, -1)])
     with pytest.raises(ValueError, match="capped"):
-        partition_residues(PARTITION_LIMIT + 1, 385)
+        partition_residues([(385, PARTITION_LIMIT + 1)])
     with pytest.raises(ValueError, match="modulus >= 1"):
-        partition_residues(5, 0)
+        partition_residues([(0, 5)])
+    # every pair is checked, not only the first
+    with pytest.raises(ValueError, match=">= 0"):
+        partition_residues([(7, 5), (385, -1)])
+    with pytest.raises(ValueError, match="capped"):
+        partition_residues([(7, 5), (385, PARTITION_LIMIT + 1)])
+    with pytest.raises(ValueError, match="modulus >= 1"):
+        partition_residues([(7, 5), (0, 5)])
+    with pytest.raises(ValueError, match="at least one"):
+        partition_residues([])
 
 
 def test_residue_table_refuses_a_modulus_past_the_widest_slot():
@@ -255,10 +313,16 @@ def test_residue_table_refuses_a_modulus_past_the_widest_slot():
     # is C (modulus - 1)^2; the widest array slot must hold it, at every n.
     largest = largest_modulus(partitions._CHUNK)
     assert (largest, largest_modulus(1)) == (189_812_532, 2**32)
-    assert partition_residues(ORACLE_LIMIT, largest) == [p % largest for p in pentagonal_oracle()]
+    assert partition_residues([(largest, ORACLE_LIMIT)]) == [p % largest for p in pentagonal_oracle()]
     for n in (0, ORACLE_LIMIT):
         with pytest.raises(ValueError, match=f"no modulus above {largest}$"):
-            partition_residues(n, largest + 1)
+            partition_residues([(largest + 1, n)])
+    # The bound holds for the lcm of the moduli, each under it here: the first chunk runs
+    # mod 2 * 189812531.
+    assert largest - 1 == 189_812_531 and (largest - 1) % 2 == 1
+    for limits in ([(largest - 1, 9), (2, 9)], [(largest - 1, 0), (2, ORACLE_LIMIT)]):
+        with pytest.raises(ValueError, match=f"no modulus above {largest}$"):
+            partition_residues(limits)
 
 
 # Every slot width a fill can take: a product slot holds at most 8 bytes,
@@ -294,8 +358,39 @@ def test_slot_bounds_are_the_largest_slot_sums(monkeypatch, modulus, widths):
 
     monkeypatch.setattr(partitions, "_slot_width", recorded)
     assert partitions._CHUNK == 512 and len(partitions.pentagonal_numbers(511)) == 36
-    assert partition_residues(511, modulus) == [p % modulus for p in pentagonal_oracle()[:512]]
+    assert partition_residues([(modulus, 511)]) == [p % modulus for p in pentagonal_oracle()[:512]]
     assert bounds == [36 * modulus, 512 * (modulus - 1) ** 2]
+    assert tuple(map(slot_width, bounds)) == widths
+
+
+@pytest.mark.parametrize(
+    "max_k, count, widths",
+    [
+        # ends 504, 705 and 1106: chunk 0 runs mod 385, chunk 1 mod 77 and chunk 2 mod 11; every
+        # push bound fits 2 bytes, and the product bounds need 4, 3 and 2
+        (100, 53, (2, 4, 2, 3, 2, 2)),
+        # ends 25004, 35005 and 55006: mod 77 from chunk 49 and mod 11 from chunk 69; the push
+        # bound 382 * 385 = 147070 needs 3 bytes, and 382 * 77 fits 2
+        (5000, 382, (3, 4, 2, 3, 2, 2)),
+    ],
+)
+def test_slot_bounds_narrow_with_each_phase(monkeypatch, max_k, count, widths):
+    # Each phase of one lcm L sizes its slots once, push then product: a push slot sums one
+    # value in [0, L] per offset, and a product slot C products of two residues mod L.
+    bounds = []
+    slot_width = partitions._slot_width
+
+    def recorded(bound):
+        bounds.append(bound)
+        return slot_width(bound)
+
+    monkeypatch.setattr(partitions, "_slot_width", recorded)
+    limits = congruence_families(max_k)
+    n = max(k for _, k in limits)
+    assert partitions._CHUNK == 512 and len(partitions.pentagonal_numbers(n)) == count
+    partition_count(n)
+    assert_residues(limits, partition_residues(limits), [partition_count(m) for m in range(n + 1)])
+    assert bounds == [count * 385, 512 * 384**2, count * 77, 512 * 76**2, count * 11, 512 * 10**2]
     assert tuple(map(slot_width, bounds)) == widths
 
 
