@@ -10,13 +10,13 @@ Each leaf of the parser tree, ``_TREE``, declares its handler ``run``
 dest, smallest or None, largest) accepted size; ``main`` checks every bound
 before it calls the handler.
 
-A run builds only the parsers that its argv names, read by ``_path``: for
-``verify eq3 ...`` the top parser, ``verify`` and ``eq3``, 3 of 12.  An
-argv that starts with an option, or that names no known command or target,
-builds the whole tree, so every help text and every error that lists the
-choices comes from it.  Every output stays byte-identical: argparse reads a
-path's argv down that same path and never reaches the parsers left out,
-and a path build's usage lines list every choice, as the whole tree's do.
+A run walks the tree once, building at each level only the command that
+its argv names there, or every command where it names none: for ``verify
+eq3 ...`` the top parser, ``verify`` and ``eq3``, 3 of 12, and for
+``verify --help`` the top parser, ``verify`` and its five targets.  Every
+output stays byte-identical to the whole tree's: argparse reads argv down
+the commands it names and never reaches the parsers left out, and a level
+built for one command lists every choice in its usage line.
 
 Exit codes: 0 success or verified, 1 a verification entry failed, 2 usage
 or parse error, 3 precondition violation, a size past its cap included.
@@ -33,7 +33,7 @@ from math import lcm
 from . import series
 from .bell import complete_bell
 from .numtheory import d_coefficient, e_coefficient, sigma
-from .partitions import PARTITION_LIMIT, partition_count
+from .partitions import partition_count
 from .reports import DIGIT_LIMIT, format_exact, parse_exact, write_json
 
 __all__ = ["main", "entry", "build_parser", "parse_rational"]
@@ -54,11 +54,6 @@ _BELL_MAX_N = 1000
 _BELL_MAX_WORK = 16_000_000
 
 
-def _order_cap(check) -> int:
-    """Largest size N with p(modulus N + residue) <= PARTITION_LIMIT on each class of the check."""
-    return min((PARTITION_LIMIT - r) // m for m, r in series.residue_classes(check))
-
-
 def _flag(size: str) -> str:
     """The option that sets a library size parameter: --max-n sets max_n."""
     return "--" + size.replace("_", "-")
@@ -69,8 +64,8 @@ def _flag(size: str) -> str:
 # qbell.series.SIZE_NAME and SMALLEST_SIZE: the name gives the flag and the smallest value its
 # lower bound.  The theorem's cap is the Bell side's digit rule, a literal since computing it
 # fills p(10666): n! p(7n+5) has 4298 digits at n = 1523 and 4302 at 1524.  Every other value has
-# under 500 digits, and each other cap is _order_cap of the check: for congruences the (11, 6)
-# family's.
+# under 500 digits, and each other cap is the library's size_cap of the check: for congruences
+# the (11, 6) family's.
 class _Target(namedtuple("_Target", "name help check cap")):
     __slots__ = ()
 
@@ -91,11 +86,11 @@ class _Target(namedtuple("_Target", "name help check cap")):
 _VERIFY_TARGETS = (
     _Target("theorem", "Bell-polynomial identity for n! p(7n+5)", series.BELL_IDENTITY, 1523),
     _Target("eq2", "series identity for p(5k+4)", series.P5K4_SERIES,
-            _order_cap(series.P5K4_SERIES)),
+            series.size_cap(series.P5K4_SERIES)),
     _Target("eq3", "series identity for p(7n+5)", series.P7N5_SERIES,
-            _order_cap(series.P7N5_SERIES)),
+            series.size_cap(series.P7N5_SERIES)),
     _Target("congruences", "p(5k+4), p(7k+5), p(11k+6) divisibility",
-            series.RAMANUJAN_CONGRUENCES, _order_cap(series.RAMANUJAN_CONGRUENCES)),
+            series.RAMANUJAN_CONGRUENCES, series.size_cap(series.RAMANUJAN_CONGRUENCES)),
 )
 # the size of each flag under `verify all`
 _VERIFY_ALL_SIZES = {_flag(series.SIZE_NAME[side]): size
@@ -121,48 +116,37 @@ def parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"zero denominator: {text!r}") from None
 
 
-def build_parser(path=()) -> argparse.ArgumentParser:
-    """The front end's parsers: the whole tree, or only those on a path from the top to a leaf.
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The front end's parsers: at each level the command that argv names there, else all.
 
-    On a path each subparsers action takes the whole tree's choices text as
-    its metavar, so its usage line reads as on the whole tree.  The whole
-    tree keeps argparse's default, which names the action by its dest in an
-    invalid-choice error.
+    A level built for one command gives its subparsers action the whole
+    level's choices text as its metavar, so its usage line reads as the
+    whole tree's.  A level built whole keeps argparse's default, which names
+    the action by its dest in an invalid-choice error.  With no argv, the
+    whole tree.
     """
     parser = argparse.ArgumentParser(
         prog="qbell",
         description="Exact Bell polynomials, partition counts, divisor sums, "
         "and truncated q-series, with identity verification.",
     )
-    _declare_tree(parser, _TREE, path)
+    _declare_tree(parser, _TREE, argv)
     return parser
 
 
-def _declare_tree(parser: argparse.ArgumentParser, tree, path) -> None:
-    """Add tree's subcommands to parser: all of them, or on a path the one it names."""
+def _declare_tree(parser: argparse.ArgumentParser, tree, argv) -> None:
+    """Add tree's subcommands to parser: the one argv's first word names, else all, each whole."""
     dest, commands = tree
-    metavar = {"metavar": "{" + ",".join(commands) + "}"} if path else {}
+    named = bool(argv) and argv[0] in commands
+    metavar = {"metavar": "{" + ",".join(commands) + "}"} if named else {}
     sub = parser.add_subparsers(dest=dest, required=True, **metavar)
     for name, (kwargs, declare) in commands.items():
-        if not path or name == path[0]:
+        if not named or name == argv[0]:
             p = sub.add_parser(name, **kwargs)
             if callable(declare):
                 declare(p)
             else:
-                _declare_tree(p, declare, path[1:])
-
-
-def _path(argv) -> tuple:
-    """argv's leading command names when they reach a leaf parser, else (): the whole tree."""
-    _, commands = _TREE
-    for depth, word in enumerate(argv):
-        if word not in commands:
-            return ()
-        declare = commands[word][1]
-        if callable(declare):
-            return tuple(argv[: depth + 1])
-        _, commands = declare
-    return ()
+                _declare_tree(p, declare, argv[1:] if named else ())
 
 
 def _declare_partition(p: argparse.ArgumentParser) -> None:
@@ -192,7 +176,7 @@ def _declare_series(p: argparse.ArgumentParser) -> None:
     p.add_argument("which", choices=tuple(_SERIES))
     p.add_argument("--order", type=_parse_int, required=True)
     # the same G and H as verify eq3, so the same cap
-    cap = _order_cap(series.P7N5_SERIES)
+    cap = series.size_cap(series.P7N5_SERIES)
     p.set_defaults(run=_cmd_series, bounds=[("series --order", "order", None, cap)])
 
 
@@ -274,7 +258,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     """Run one invocation; returns the process exit code instead of exiting."""
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(_path(argv))
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         # every cap first, so a size past its cap is named whatever the others are

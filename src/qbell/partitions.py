@@ -158,14 +158,15 @@ def partition_residues(limits: Iterable[tuple[int, int]]) -> list[int]:
     exact = []  # a list of its own: the shared table stays as it is
     _divide_by_euler(exact, [1], min(_CHUNK, n + 1), offsets)
     # L_c per chunk c, and per L, once for its run of chunks: the push and product slot
-    # widths, and the kernel packed at the product width
+    # widths, the kernel packed at the product width and a row of L packed at the push width
     moduli = [lcm(*(m for m, k in limits if k >= c * _CHUNK)) for c in range(chunks)]
     phases = {}
     for modulus in moduli:
         if modulus not in phases:
             widths = (_slot_width(max(1, len(offsets)) * modulus),
                       _slot_width(_CHUNK * (modulus - 1) ** 2))
-            phases[modulus] = *widths, _pack([p % modulus for p in exact], widths[1])
+            phases[modulus] = (*widths, _pack([p % modulus for p in exact], widths[1]),
+                               _pack([modulus] * _CHUNK, widths[0]))
     push = [phases[modulus][0] for modulus in moduli]
     # Per run of chunks of one push width (the width only falls as c grows): its first and
     # end chunk, the width, and per offset (chunks ahead, shift in bits, 1 for a - offset);
@@ -182,7 +183,6 @@ def partition_residues(limits: Iterable[tuple[int, int]]) -> list[int]:
     # own, as % does.
     residues = list(range(moduli[0])) if moduli[0] <= n + 1 else range(moduli[0])
     chunk = [residues[p % moduli[0]] for p in exact]
-    rows = {}  # the row of moduli packed per (modulus, width)
     table = chunk[:]
     acc = [0] * chunks
     for c in range(chunks - 1):
@@ -190,11 +190,10 @@ def partition_residues(limits: Iterable[tuple[int, int]]) -> list[int]:
             lo, hi = bisect_left(aheads, first - c), bisect_left(aheads, end - c)
             if lo == hi:
                 continue
-            modulus = moduli[max(c, first)]  # the largest L this run reaches from c
-            if (modulus, width) not in rows:
-                rows[modulus, width] = _pack([modulus] * _CHUNK, width)
+            # the largest L this run reaches from c: c < end, so it lies in the run, at its width
+            modulus = moduli[max(c, first)]
             packed = _pack(chunk if modulus == moduli[c] else [r % modulus for r in chunk], width)
-            halves = (packed, rows[modulus, width] - packed)
+            halves = (packed, phases[modulus][3] - packed)
             for ahead, shift, sign in shifts[lo:hi]:
                 acc[c + ahead] += halves[sign] << shift
         carry = acc[c] >> 8 * push[c] * _CHUNK
@@ -203,7 +202,7 @@ def partition_residues(limits: Iterable[tuple[int, int]]) -> list[int]:
         if push[c + 1] != push[c]:
             carry = _pack([a % modulus for a in _unpack(carry, _CHUNK, push[c])], push[c + 1])
         acc[c + 1] += carry
-        _, product, kernel = phases[modulus]
+        _, product, kernel, _ = phases[modulus]
         width = min(_CHUNK, n + 1 - (c + 1) * _CHUNK)  # entries in chunk c + 1
         terms = _pack([a % modulus for a in _unpack(acc[c + 1], width, push[c + 1])], product)
         chunk = [residues[v % modulus] for v in _unpack(terms * kernel, width, product)]

@@ -22,8 +22,8 @@ from itertools import accumulate, count
 from operator import add, attrgetter, mul
 
 from .numtheory import SUM_5K4, SUM_7N5, EtaQuotient, G, H, _weight
-from .partitions import (_divide_by_euler, _pack, _slot_width, _unpack, partition_count,
-                         partition_residues, pentagonal_numbers)
+from .partitions import (PARTITION_LIMIT, _divide_by_euler, _pack, _slot_width, _unpack,
+                         partition_count, partition_residues, pentagonal_numbers)
 from .reports import VerificationReport, format_exact
 
 __all__ = [
@@ -452,9 +452,14 @@ SIZE_NAME = {"bell": "max_n", "product": "order", "congruence": "max_k"}
 SMALLEST_SIZE = {"bell": 1, "product": 0, "congruence": 0}
 
 
-def residue_classes(check: ResidueCheck) -> tuple[tuple[int, int], ...]:
-    """The (modulus, residue) classes on which the check reads p(modulus n + residue)."""
-    return check.sum if check.side == "congruence" else (check.sum[:2],)
+def size_cap(check: ResidueCheck) -> int:
+    """The largest size whose indices modulus n + residue PARTITION_LIMIT admits on every class.
+
+    The classes are those on which the check reads p(modulus n + residue):
+    each family of the congruence side, the one sum of the others.
+    """
+    classes = check.sum if check.side == "congruence" else (check.sum[:2],)
+    return min((PARTITION_LIMIT - r) // m for m, r in classes)
 
 
 def residue_class_report(check: ResidueCheck, size: int) -> VerificationReport:

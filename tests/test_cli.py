@@ -236,66 +236,24 @@ def test_unknown_command_usage_error_is_pinned(capsys, monkeypatch):
 
 # -- parser builds -----------------------------------------------------------------
 
-@pytest.mark.parametrize(
-    "argv, path",
-    [
-        # help at every level; an option first, or in place of a target, builds the whole tree
-        (["--help"], ()),
-        (["-h", "verify"], ()),
-        (["partition", "--help"], ("partition",)),
-        (["sigma", "--help"], ("sigma",)),
-        (["coeff", "--help"], ("coeff",)),
-        (["bell", "--help"], ("bell",)),
-        (["series", "--help"], ("series",)),
-        (["verify", "--help"], ()),
-        (["verify", "-h", "theorem"], ()),
-        *[(["verify", name, "--help"], ("verify", name))
-          for name in ("theorem", "eq2", "eq3", "congruences", "all")],
-        # usage errors: the top parser's own usage, a bad int, missing arguments, bad choices
-        (["verify", "theorem", "--max-n", "5", "junk"], ("verify", "theorem")),
-        (["partition", "abc"], ("partition",)),
-        (["partition"], ("partition",)),
-        (["verify", "theorem"], ("verify", "theorem")),
-        (["series", "G"], ("series",)),
-        (["series", "cosine", "--order", "3"], ("series",)),
-        (["coeff", "q", "3"], ("coeff",)),
-        (["bell", "2", "4"], ("bell",)),
-        (["verify", "all", "--order", "x"], ("verify", "all")),
-        (["verify"], ()),
-        (["verify", "nothing", "--max-n", "3"], ()),
-        (["verify", "--", "theorem", "--max-n", "3"], ()),
-        ([], ()),
-        (["nope"], ()),
-        # each cap plus one
-        (["verify", "theorem", "--max-n", "1524"], ("verify", "theorem")),
-        (["verify", "eq2", "--order", "40000"], ("verify", "eq2")),
-        (["verify", "eq3", "--order", "28571"], ("verify", "eq3")),
-        (["verify", "congruences", "--max-k", "18182"], ("verify", "congruences")),
-        (["verify", "all", "--max-n", "1524"], ("verify", "all")),
-        (["series", "H", "--order", "28571"], ("series",)),
-        (["bell", "1001", *["1"] * 1001], ("bell",)),
-        (["partition", "200001"], ("partition",)),
-        # passing runs
-        (["partition", "12"], ("partition",)),
-        (["sigma", "12"], ("sigma",)),
-        (["coeff", "d", "7"], ("coeff",)),
-        (["bell", "2", "4", "12"], ("bell",)),
-        (["series", "G", "--order", "5"], ("series",)),
-        (["verify", "theorem", "--max-n", "3"], ("verify", "theorem")),
-        (["verify", "eq3", "--order", "3"], ("verify", "eq3")),
-        (["verify", "all", "--max-n", "3", "--order", "3", "--max-k", "3"], ("verify", "all")),
-    ],
-)
-def test_a_path_build_prints_as_the_whole_tree(capsys, monkeypatch, argv, path):
-    # the same exit code, stdout and stderr from the parsers on argv's path as from all of them
-    monkeypatch.setenv("COLUMNS", "80")
-    assert cli._path(argv) == path
-    on_path = run_cli(capsys, argv)
-    monkeypatch.setattr(cli, "_path", lambda argv: ())
-    assert run_cli(capsys, argv) == on_path
+_TARGETS = ("theorem", "eq2", "eq3", "congruences", "all")
 
 
-def test_a_run_builds_only_the_parsers_its_argv_names(capsys, monkeypatch):
+def _on(*words):
+    """The progs of the parsers from the top one down the commands named by words."""
+    return tuple(" ".join(("qbell", *words[:depth])) for depth in range(len(words) + 1))
+
+
+# the whole tree in build order, and the top parser, verify and each of its targets
+_WHOLE_TREE = (*_on(), *(f"qbell {command}" for command in (
+    "partition", "sigma", "coeff", "bell", "series", "verify")),
+    *(f"qbell verify {target}" for target in _TARGETS))
+_VERIFY_BRANCH = (*_on("verify"), *(f"qbell verify {target}" for target in _TARGETS))
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The progs of the parsers built since the test began, in build order."""
     progs = []
     init = argparse.ArgumentParser.__init__
 
@@ -304,13 +262,87 @@ def test_a_run_builds_only_the_parsers_its_argv_names(capsys, monkeypatch):
         progs.append(self.prog)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return progs
+
+
+def _build_whole_tree(monkeypatch):
+    whole = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv: whole())
+
+
+# path: the progs of the parsers that the run builds
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        # help at every level; an option first, or in place of a target, builds that level whole
+        (["--help"], _WHOLE_TREE),
+        (["-h", "verify"], _WHOLE_TREE),
+        (["partition", "--help"], _on("partition")),
+        (["sigma", "--help"], _on("sigma")),
+        (["coeff", "--help"], _on("coeff")),
+        (["bell", "--help"], _on("bell")),
+        (["series", "--help"], _on("series")),
+        (["verify", "--help"], _VERIFY_BRANCH),
+        (["verify", "-h", "theorem"], _VERIFY_BRANCH),
+        *[(["verify", name, "--help"], _on("verify", name)) for name in _TARGETS],
+        # usage errors: the top parser's own usage, a bad int, missing arguments, bad choices
+        (["verify", "theorem", "--max-n", "5", "junk"], _on("verify", "theorem")),
+        (["partition", "abc"], _on("partition")),
+        (["partition"], _on("partition")),
+        (["verify", "theorem"], _on("verify", "theorem")),
+        (["series", "G"], _on("series")),
+        (["series", "cosine", "--order", "3"], _on("series")),
+        (["coeff", "q", "3"], _on("coeff")),
+        (["bell", "2", "4"], _on("bell")),
+        (["verify", "all", "--order", "x"], _on("verify", "all")),
+        (["verify"], _VERIFY_BRANCH),
+        (["verify", "nothing", "--max-n", "3"], _VERIFY_BRANCH),
+        (["verify", "--", "theorem", "--max-n", "3"], _VERIFY_BRANCH),
+        ([], _WHOLE_TREE),
+        (["nope"], _WHOLE_TREE),
+        # each cap plus one
+        (["verify", "theorem", "--max-n", "1524"], _on("verify", "theorem")),
+        (["verify", "eq2", "--order", "40000"], _on("verify", "eq2")),
+        (["verify", "eq3", "--order", "28571"], _on("verify", "eq3")),
+        (["verify", "congruences", "--max-k", "18182"], _on("verify", "congruences")),
+        (["verify", "all", "--max-n", "1524"], _on("verify", "all")),
+        (["series", "H", "--order", "28571"], _on("series")),
+        (["bell", "1001", *["1"] * 1001], _on("bell")),
+        (["partition", "200001"], _on("partition")),
+        # passing runs
+        (["partition", "12"], _on("partition")),
+        (["sigma", "12"], _on("sigma")),
+        (["coeff", "d", "7"], _on("coeff")),
+        (["bell", "2", "4", "12"], _on("bell")),
+        (["series", "G", "--order", "5"], _on("series")),
+        (["verify", "theorem", "--max-n", "3"], _on("verify", "theorem")),
+        (["verify", "eq3", "--order", "3"], _on("verify", "eq3")),
+        (["verify", "all", "--max-n", "3", "--order", "3", "--max-k", "3"], _on("verify", "all")),
+        # a branch named but no target, and extra words or help after a leaf
+        (["verify", "-h"], _VERIFY_BRANCH),
+        (["verify", "--max-n", "3"], _VERIFY_BRANCH),
+        (["verify", "all", "theorem"], _on("verify", "all")),
+        (["verify", "eq3", "-h"], _on("verify", "eq3")),
+        (["series", "-h"], _on("series")),
+    ],
+)
+def test_a_path_build_prints_as_the_whole_tree(capsys, monkeypatch, built, argv, path):
+    # the same exit code, stdout and stderr from the parsers argv names as from all of them
+    monkeypatch.setenv("COLUMNS", "80")
+    on_path = run_cli(capsys, argv)
+    assert tuple(built) == path
+    _build_whole_tree(monkeypatch)
+    assert run_cli(capsys, argv) == on_path
+
+
+def test_a_run_builds_only_the_parsers_its_argv_names(capsys, monkeypatch, built):
     argv = ["verify", "eq3", "--order", "3"]
     on_path = run_cli(capsys, argv)
-    assert progs == ["qbell", "qbell verify", "qbell verify eq3"]
-    progs.clear()
-    monkeypatch.setattr(cli, "_path", lambda argv: ())
+    assert built == ["qbell", "qbell verify", "qbell verify eq3"]
+    built.clear()
+    _build_whole_tree(monkeypatch)
     assert run_cli(capsys, argv) == on_path
-    assert len(progs) == 12
+    assert built == list(_WHOLE_TREE) and len(built) == 12
 
 
 def test_verify_all_emits_array(capsys):

@@ -411,6 +411,53 @@ def test_pack_and_unpack_round_trip_at_every_width(width, data):
     assert partitions._unpack(full, count, width) == values[:count]
 
 
+_NATIVE_ORDER = sys.byteorder  # read at import, before any test patches it
+
+
+class _BigEndianArray(array):
+    """An array whose bytes in and out read as on a big-endian host, whatever this host's order."""
+
+    def __new__(cls, code, init):
+        items = super().__new__(cls, code, init)
+        if _NATIVE_ORDER == "little" and isinstance(init, (bytes, bytearray)):
+            items.byteswap()
+        return items
+
+    def tobytes(self):
+        if _NATIVE_ORDER == "big":
+            return super().tobytes()
+        swapped = array(self.typecode, self)
+        swapped.byteswap()
+        return swapped.tobytes()
+
+
+def _distinct_bytes(width):
+    return int.from_bytes(bytes(range(1, width + 1)), "little")
+
+
+def test_the_big_endian_branch_swaps_each_items_bytes(monkeypatch):
+    monkeypatch.setattr(sys, "byteorder", "big")
+    for size, code in partitions._ITEMS.items():
+        values = [0, 1, _distinct_bytes(size)]
+        raw = array(code, values).tobytes()
+        swapped = b"".join(raw[i:i + size][::-1] for i in range(0, len(raw), size))
+        assert partitions._little(array(code, values)).tobytes() == swapped
+
+
+@pytest.mark.parametrize("width", SLOT_WIDTHS)
+def test_pack_and_unpack_round_trip_through_the_big_endian_branch(monkeypatch, width):
+    # This shows that the branch runs and that the packed ints are as on a little-endian host
+    # under a model of a big-endian one, not that the code is right on a real big-endian host.
+    # sys.byteorder alone is not that model: on a little-endian host it swaps each item twice,
+    # and a slot narrower than its item then takes the item's high bytes.
+    monkeypatch.setattr(partitions, "array", _BigEndianArray)
+    monkeypatch.setattr(sys, "byteorder", "big")
+    values = [0, 1, 256**width - 1, _distinct_bytes(width)]
+    packed = partitions._pack(values, width)
+    assert packed == sum(v << 8 * width * i for i, v in enumerate(values))
+    assert partitions._unpack(packed, len(values), width) == values
+
+
 @settings(deadline=None, max_examples=100)
 @given(data=st.data())
 def test_a_row_of_moduli_less_a_packed_chunk_holds_the_negations(data):

@@ -91,6 +91,11 @@ def test_writer_renders_both_values_whatever_passed_says():
     assert '"lhs": "2",' in _written(report) and '"rhs": "3",' in _written(report)
 
 
+def test_an_entry_reprs_as_its_four_fields():
+    assert repr(CheckEntry(3, Fraction(1, 2), 1, False)) == (
+        "CheckEntry(index=3, computed=Fraction(1, 2), expected=1, passed=False)")
+
+
 class _Sink:
     """A file that counts what it is given and keeps none of it."""
 
