@@ -85,8 +85,8 @@ def complete_bell(n: int, args: Sequence) -> Fraction:
         B_{m+1} = sum_{j=0}^{m} C(m, j) x_{j+1} B_{m-j}
     as described under :func:`complete_bell_sequence`.
     """
-    seq, b = _scaled_complete_bell(n, args)
-    return Fraction(seq[n], b**n)
+    seq, _, power = _scaled_complete_bell(n, args)
+    return Fraction(seq[n], power)
 
 
 def complete_bell_sequence(n: int, args: Sequence) -> list[Fraction]:
@@ -101,19 +101,19 @@ def complete_bell_sequence(n: int, args: Sequence) -> list[Fraction]:
         B_m(b x_1, b^2 x_2, ..., b^m x_m) = b^m B_m(x_1, ..., x_m)
     gives B_m = B_m(y) / b^m, one division per entry at the end.
     """
-    seq, b = _scaled_complete_bell(n, args)
+    seq, b, _ = _scaled_complete_bell(n, args)
     return [Fraction(value, b**m) for m, value in enumerate(seq)]
 
 
-def _scaled_complete_bell(n: int, args: Sequence) -> tuple[list[int], int]:
-    # ([B_0(y), ..., B_n(y)], b) with y_i = b^i x_i, each an int; the
+def _scaled_complete_bell(n: int, args: Sequence) -> tuple[list[int], int, int]:
+    # ([B_0(y), ..., B_n(y)], b, b^n) with y_i = b^i x_i, each an int; the
     # recurrence is homogeneous of weight m in the x_i (x_i has weight i), so
     # B_m(y) = b^m B_m(x).  row holds C(m, 0..m), advanced by Pascal's rule.
     if n < 0:
         raise ValueError("complete_bell is defined for n >= 0")
     if len(args) < n:
         raise ValueError(f"need x_1..x_{n}, got {len(args)} arguments")
-    xs = [Fraction(a) for a in args[:n]]
+    xs = [a if type(a) is Fraction else Fraction(a) for a in args[:n]]
     b = lcm(*(x.denominator for x in xs))
     ys = []
     power = 1
@@ -125,4 +125,4 @@ def _scaled_complete_bell(n: int, args: Sequence) -> tuple[list[int], int]:
     for _ in range(n):
         seq.append(sum(map(mul, map(mul, row, ys), reversed(seq))))
         row = [1, *map(add, row, row[1:]), 1]
-    return seq, b
+    return seq, b, power

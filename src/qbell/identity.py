@@ -18,7 +18,8 @@ kernel of :mod:`qbell.series` solves the recurrence of the a_n by divide
 and conquer on packed products, over ints of O(sqrt(n)) bits (208 at
 n = 1024), where the binomial Bell recurrence of :mod:`qbell.bell`
 carries B_n = n! a_n (8977 bits).  A wrong weight that makes some a_n a
-fraction sends the row to the step-by-step loop, so the report shows it.
+fraction leaves the packed products from that index on, and the kernel
+solves the rest exactly by plain multiply-adds, so the report shows it.
 :func:`qbell.bell.complete_bell_sequence` stays the oracle that the tests
 hold this route to.  The right side reads the exact partition table of
 ``partition_count``.

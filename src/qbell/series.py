@@ -241,12 +241,7 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
     def exp(self) -> TruncatedSeries:
-        """exp(self), requiring constant term 0: n E_n = sum_{i=1..n} (i c_i) E_{n-i}.
-
-        The recurrence runs in ``_exp`` on the weights i c_i: by packed
-        products when they are non-negative ints and every E_n is one, else
-        step by step, with the same values either way.
-        """
+        """exp(self), constant term 0: ``_exp`` solves n E_n = sum_{i=1..n} (i c_i) E_{n-i}."""
         c = self._coeffs
         if c[0] != 0:
             raise ValueError("exp needs constant term 0")
@@ -263,57 +258,59 @@ _LEAF = 32
 
 
 def _exp(ws: list) -> list:
-    """E_0 .. E_len(ws) of exp(sum_i (ws[i-1] / i) x^i), by n E_n = sum_{i=1..n} ws[i-1] E_(n-i).
-
-    When every weight is a non-negative int, ``_exp_range`` solves the
-    recurrence by divide and conquer on packed products.  Any other weight,
-    or an E_n that is not an int, runs ``_exp_loop`` from the start, so
-    every value is the exact int or ``Fraction`` that the loop gives.
-    """
-    if not all(type(w) is int and w >= 0 for w in ws):
-        return _exp_loop(ws)
+    """E_0 .. E_len(ws) of exp(sum_i (ws[i-1] / i) x^i), by n E_n = sum_{i=1..n} ws[i-1] E_(n-i)."""
     e = [1, *ws]  # e[n] holds the terms of n E_n added so far, here E_0 w_n, then E_n
-    return e if _exp_range(ws, e, 1, len(e)) else _exp_loop(ws)
+    _exp_range(ws, e)
+    return e
 
 
-def _exp_loop(ws: list) -> list:
-    """``_exp`` step by step: E_n is one sum of n products."""
-    out = [1]
-    for n in range(1, len(ws) + 1):
-        out.append(_quotient(sum(map(mul, ws, reversed(out))), n))  # map stops at E_0
-    return out
+def _exp_range(ws: list, e: list) -> None:
+    """Solve e[1:] in place for any weights, e[n] holding E_0 w_n on entry.
 
-
-def _exp_range(ws: list[int], e: list[int], lo: int, hi: int) -> bool:
-    """Solve e[lo:hi] in place, given the terms of E_0 .. E_(lo-1) in it; False at a remainder.
-
-    A range of at most ``_LEAF`` entries runs step by step.  A longer one
-    solves its first half, adds that half's terms to the second half as the
-    middle slots of one product of packed values, and solves the second
-    half.  Every value is non-negative and no slot sum exceeds
-    max(E) max(w) (mid - lo), so a slot of that width never carries.  A
-    bound of 0 means a product of 0, which is skipped: a slot that narrow
-    need not hold the values themselves.
+    A range of at most ``_LEAF`` entries runs step by step, E_n an int when
+    n divides its sum, else a reduced ``Fraction``.  A longer one solves its
+    first half, adds that half's terms to the second half, and solves the
+    second half.  While every weight is a non-negative int and every E so
+    far an int, the terms are the middle slots of one product of packed
+    values, in slots as wide as max(E) max(w) (mid - lo), so none carries; a
+    bound of 0 is a zero product, skipped.  From the first other weight or E
+    on, ``_exp_node`` adds them by plain multiply-adds, so a wrong weight
+    costs time only from its own index on.
     """
-    if hi - lo <= _LEAF:
-        for n in range(lo, hi):
-            e[n], remainder = divmod(e[n] + sum(map(mul, ws, reversed(e[lo:n]))), n)
-            if remainder:
-                return False
-        return True
-    mid = (lo + hi) // 2
-    if not _exp_range(ws, e, lo, mid):
-        return False
-    # E_lo .. E_(mid-1) meet w_1 .. w_(hi-lo-1) on mid .. hi-1: slots mid-lo-1 .. hi-lo-2
-    # of the product, since slot i of the packed weights holds w_(i+1)
-    solved, weights = e[lo:mid], ws[:hi - lo - 1]
-    bound = max(solved) * max(weights) * (mid - lo)
-    if bound:
-        width = _slot_width(bound)
-        product = _pack(solved, width) * _pack(weights, width)
-        e[mid:hi] = map(add, e[mid:hi],
-                        _unpack(product >> 8 * width * (mid - lo - 1), hi - mid, width))
-    return _exp_range(ws, e, mid, hi)
+    packed = all(type(w) is int and w >= 0 for w in ws)
+
+    def solve(lo: int, hi: int) -> None:
+        nonlocal packed
+        if hi - lo <= _LEAF:
+            for n in range(lo, hi):
+                e[n], r = divmod(total := e[n] + sum(map(mul, ws, reversed(e[lo:n]))), n)
+                if r:
+                    e[n], packed = Fraction(total, n), False
+            return
+        mid = (lo + hi) // 2
+        solve(lo, mid)
+        if packed:
+            # E_lo .. E_(mid-1) meet w_1 .. w_(hi-lo-1) on mid .. hi-1: slots mid-lo-1 .. hi-lo-2
+            # of the product, since slot i of the packed weights holds w_(i+1)
+            solved, weights = e[lo:mid], ws[:hi - lo - 1]
+            bound = max(solved) * max(weights) * (mid - lo)
+            if bound:
+                width = _slot_width(bound)
+                product = _pack(solved, width) * _pack(weights, width)
+                e[mid:hi] = map(add, e[mid:hi],
+                                _unpack(product >> 8 * width * (mid - lo - 1), hi - mid, width))
+        else:
+            _exp_node(ws, e, lo, mid, hi)
+        solve(mid, hi)
+
+    solve(1, len(e))
+
+
+def _exp_node(ws: list, e: list, lo: int, mid: int, hi: int) -> None:
+    """Add the terms of E_lo .. E_(mid-1) to e[mid:hi] by plain multiply-adds, any values."""
+    solved = e[lo:mid]
+    for n in range(mid, hi):
+        e[n] += sum(map(mul, ws[n - mid:n - lo][::-1], solved))
 
 
 # -- named products -------------------------------------------------------
@@ -471,13 +468,14 @@ def residue_class_report(check: ResidueCheck, size: int) -> VerificationReport:
     _weight(i, row) by ``_exp``, into one list, and checks n! times both
     values: by the exponential formula, n! [x^n] of a row is scale
     (n!/(n-shift)!) B_(n-shift)(1! c_1, 2! c_2, ...), so ``BELL_IDENTITY`` is
-    the theorem of :mod:`qbell.identity`.  A wrong weight that makes some
-    E_n a fraction runs ``_exp``'s loop, not an error.  The "congruence"
-    side checks each family's residues against 0 on one table from
-    ``partition_residues``, given each family's (modulus, last index), not
-    the exact table: it runs mod the moduli's lcm and narrows as each
-    family ends.  The side and the size are checked, then the largest p(n)
-    is read, which checks its bound and fills its table, before other work.
+    the theorem of :mod:`qbell.identity`; a wrong weight gives a ``Fraction``
+    from its own index on, not an error, and both values are scaled only
+    where they differ.  The "congruence" side checks each family's residues
+    against 0 on one table from ``partition_residues``, given each family's
+    (modulus, last index), not the exact table: it runs mod the moduli's lcm
+    and narrows as each family ends.  The side and the size are checked,
+    then the largest p(n) is read, which checks its bound and fills its
+    table, before other work.
     """
     first = SMALLEST_SIZE.get(check.side)
     if first is None:
@@ -500,9 +498,9 @@ def residue_class_report(check: ResidueCheck, size: int) -> VerificationReport:
         built = _eta_sum(eta_rows, size).coefficients
     rows = ((n, computed, partition_count(modulus * n + residue))
             for n, computed in zip(count(first), built[first:]))
-    if bell:  # n! times both values; a product-side row holds its two ints uncopied
+    if bell:  # n! times both values, one int when they agree; a product-side row is uncopied
         scales = accumulate(range(1, size + 1), mul)
-        rows = ((n, scale * computed, scale * expected)
+        rows = ((n, lhs := scale * computed, lhs if computed == expected else scale * expected)
                 for (n, computed, expected), scale in zip(rows, scales))
     return VerificationReport.from_rows(check.label, rows)
 

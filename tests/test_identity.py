@@ -131,7 +131,7 @@ def test_theorem_report_fails_from_a_shifted_d7(monkeypatch, capsys, shift, lhs_
     # the Bell argument an integer, so only lhs == rhs can fail; shifted by
     # 1/1440, d_7 moves by 1/(2 * 7!) and the left side is no longer an integer.
     # An integral shift stays an int, so the packed exp route meets the
-    # remainder; a fractional one sends the row to the step-by-step loop.
+    # remainder; a fractional one runs the row's nodes by plain multiply-adds.
     bump = int(shift) if shift.denominator == 1 else shift
     # 100 lies past the exp leaf, and 100! (d_100 shifted by 1/100 or 1/144000) is whole
     for index, max_n, denominator in [(7, 10, lhs_denominator), (100, 120, 1)]:
@@ -147,10 +147,10 @@ def test_theorem_report_fails_from_a_shifted_d7(monkeypatch, capsys, shift, lhs_
 
 
 def test_theorem_rows_never_fall_back_to_the_exp_loop(monkeypatch):
-    def loop(ws):
+    def node(*args):
         raise AssertionError("a theorem row left the packed exp route")
 
-    monkeypatch.setattr(qbell.series, "_exp_loop", loop)
+    monkeypatch.setattr(qbell.series, "_exp_node", node)
     assert verify_theorem(384).overall_pass
 
 

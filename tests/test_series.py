@@ -5,6 +5,8 @@ import math
 import time
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +22,7 @@ from qbell.partitions import partition_count
 from qbell.series import (
     ResidueCheck,
     TruncatedSeries,
+    _quotient,
     coefficient_lines,
     euler_product,
     extract_log_coefficients,
@@ -265,10 +268,10 @@ def test_exp_turns_sums_into_products(a, b):
 
 
 def test_bell_rows_equal_their_eta_quotients_at_full_depth(monkeypatch):
-    def loop(ws):
+    def node(*args):
         raise AssertionError("a row left the packed exp route")
 
-    monkeypatch.setattr(qbell.series, "_exp_loop", loop)
+    monkeypatch.setattr(qbell.series, "_exp_node", node)
     for row in (G, H, P5K4):
         assert bell_row(row, 1523) == list(qbell.series._eta_sum((row,), 1523).coefficients)
 
@@ -281,6 +284,22 @@ def bell_row(row, order):
     return built
 
 
+def exp_loop(ws):
+    """The exp kernel's oracle, step by step: n E_n is one sum of n products."""
+    out = [1]
+    for n in range(1, len(ws) + 1):
+        out.append(_quotient(sum(map(mul, ws, reversed(out))), n))  # map stops at E_0
+    return out
+
+
+def exp_nodes(lo, hi):
+    """(lo, mid, hi) of each node of the exp kernel's split of lo .. hi-1, in the order it runs."""
+    if hi - lo <= qbell.series._LEAF:
+        return []
+    mid = (lo + hi) // 2
+    return [*exp_nodes(lo, mid), (lo, mid, hi), *exp_nodes(mid, hi)]
+
+
 def _euler_weights(exponents):
     """Weights w_n = sum_{k | n} k a_k: exp of their series is prod_k (1 - x^k)^(-a_k), all ints."""
     return [sum(k * a for k, a in enumerate(exponents[:n], 1) if n % k == 0)
@@ -288,31 +307,59 @@ def _euler_weights(exponents):
 
 
 _exp_lengths = st.integers(0, 3 * qbell.series._LEAF + 9)
+
+
+def _lists(values):
+    return _exp_lengths.flatmap(lambda n: st.lists(values, min_size=n, max_size=n))
+
+
 _exp_weights = st.one_of(
     # integral E_n: the packed route runs to the end, on values past 8 bytes
-    _exp_lengths.flatmap(lambda n: st.lists(
-        st.one_of(st.integers(0, 3), st.integers(0, 2**80)), min_size=n, max_size=n)
-    ).map(_euler_weights),
-    # mostly a fractional E_n: a remainder sends the whole list to the loop
-    _exp_lengths.flatmap(lambda n: st.lists(st.integers(0, 10**6), min_size=n, max_size=n)),
+    _lists(st.one_of(st.integers(0, 3), st.integers(0, 2**80))).map(_euler_weights),
+    # mostly a fractional E_n: the plain route runs from the first one on
+    _lists(st.integers(0, 10**6)),
+    # negative ints, with integral E_n or not: the plain route runs throughout
+    _lists(st.integers(-3, 3)).map(_euler_weights),
+    _lists(st.integers(-10**6, 10**6)),
+    # the canonical weights i c_i of a rational series, as TruncatedSeries.exp passes them
+    _lists(coeff_strategy).map(lambda ws: [_quotient(w) for w in ws]),
 )
 
 
-@settings(deadline=None, max_examples=80)
+@settings(deadline=None, max_examples=120)
 @given(ws=_exp_weights)
 @example(ws=_euler_weights([39] * 33))  # one product, on 9-byte slots: the narrowest past the array
 # E_1 .. E_31 are 0 and w_40 needs 2 bytes: a slot sized for their product, 0, is 1 byte
 @example(ws=[0] * 39 + [40 * 300] + [0] * 23)
+# packed up to E_70, the first fraction, and plain from there
+@example(ws=[w + (i == 70) for i, w in enumerate(_euler_weights([2] * 105), 1)])
 def test_exp_kernel_equals_the_loop(ws):
-    expected = qbell.series._exp_loop(ws)
-    kernel = qbell.series._exp(ws)
+    expected = exp_loop(ws)
+    with mock.patch.object(qbell.series, "_exp_node", wraps=qbell.series._exp_node) as node:
+        kernel = qbell.series._exp(ws)
     assert kernel == expected
     assert_canonical(kernel)
-    solved = [1, *ws]
-    integral = all(type(value) is int for value in expected)
-    assert qbell.series._exp_range(ws, solved, 1, len(solved)) == integral
-    if integral:
-        assert solved == expected
+    # with a weight that is not a non-negative int every node runs the plain step; else the
+    # nodes past the first E_n that is not an int do, and no other node does
+    first = next((n for n, value in enumerate(expected) if type(value) is not int), len(ws) + 1)
+    if not all(type(w) is int and w >= 0 for w in ws):
+        first = 0
+    plain = [(lo, mid, hi) for lo, mid, hi in exp_nodes(1, len(ws) + 1) if mid > first]
+    assert [call.args[2:] for call in node.call_args_list] == plain
+
+
+def test_a_late_wrong_weight_costs_only_from_its_own_index():
+    # 1 / E(x) = exp(sum sigma(k) x^k / k), so n p(n) = sum_k sigma(k) p(n - k); one more at
+    # sigma(2900) leaves p(n) below 2900 and makes 2900 E_2900 = 2900 p(2900) + 1
+    ws = [sigma(k) for k in range(1, 3001)]
+    ws[2899] += 1
+    exact = [partition_count(n) for n in range(2900)]
+    start = time.perf_counter()
+    values = qbell.series._exp(ws)
+    elapsed = time.perf_counter() - start
+    assert values[:2900] == exact
+    assert next(n for n, value in enumerate(values) if type(value) is not int) == 2900
+    assert elapsed < 0.6, f"{elapsed:.2f} s"  # a restart of the whole row took 1.25 s
 
 
 def test_log_and_exp_domain_checks():
@@ -465,7 +512,7 @@ def test_the_partition_functions_own_row_counts_every_partition(side):
 
 
 def test_a_bumped_weight_fails_the_partition_rows_bell_side_first_at_its_index(monkeypatch):
-    # sigma(7) + 1 makes E_7 a fraction, so the row runs the step-by-step loop: a short report
+    # sigma(7) + 1 makes E_7 a fraction, so the row's nodes run by plain multiply-adds from 7 on
     monkeypatch.setattr(qbell.series, "_weight", lambda i, row: _weight(i, row) + (i == 7))
     report = residue_class_report(ResidueCheck("partitions", PARTITION_SUM, "bell"), 60)
     assert report.failures()[0].index == 7
