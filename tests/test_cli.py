@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -266,11 +267,13 @@ def built(monkeypatch):
 
 
 def _build_whole_tree(monkeypatch):
+    # every argv through argparse, and the whole tree built for it
     whole = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda argv: whole())
+    monkeypatch.setattr(cli, "_verify_args", lambda argv: None)
 
 
-# path: the progs of the parsers that the run builds
+# path: the progs of the parsers that the run builds; a canonical verify argv builds none
 @pytest.mark.parametrize(
     "argv, path",
     [
@@ -301,11 +304,11 @@ def _build_whole_tree(monkeypatch):
         ([], _WHOLE_TREE),
         (["nope"], _WHOLE_TREE),
         # each cap plus one
-        (["verify", "theorem", "--max-n", "1524"], _on("verify", "theorem")),
-        (["verify", "eq2", "--order", "40000"], _on("verify", "eq2")),
-        (["verify", "eq3", "--order", "28571"], _on("verify", "eq3")),
-        (["verify", "congruences", "--max-k", "18182"], _on("verify", "congruences")),
-        (["verify", "all", "--max-n", "1524"], _on("verify", "all")),
+        (["verify", "theorem", "--max-n", "1524"], ()),
+        (["verify", "eq2", "--order", "40000"], ()),
+        (["verify", "eq3", "--order", "28571"], ()),
+        (["verify", "congruences", "--max-k", "18182"], ()),
+        (["verify", "all", "--max-n", "1524"], ()),
         (["series", "H", "--order", "28571"], _on("series")),
         (["bell", "1001", *["1"] * 1001], _on("bell")),
         (["partition", "200001"], _on("partition")),
@@ -315,15 +318,19 @@ def _build_whole_tree(monkeypatch):
         (["coeff", "d", "7"], _on("coeff")),
         (["bell", "2", "4", "12"], _on("bell")),
         (["series", "G", "--order", "5"], _on("series")),
-        (["verify", "theorem", "--max-n", "3"], _on("verify", "theorem")),
-        (["verify", "eq3", "--order", "3"], _on("verify", "eq3")),
-        (["verify", "all", "--max-n", "3", "--order", "3", "--max-k", "3"], _on("verify", "all")),
+        (["verify", "theorem", "--max-n", "3"], ()),
+        (["verify", "eq3", "--order", "3"], ()),
+        (["verify", "all", "--max-n", "3", "--order", "3", "--max-k", "3"], ()),
         # a branch named but no target, and extra words or help after a leaf
         (["verify", "-h"], _VERIFY_BRANCH),
         (["verify", "--max-n", "3"], _VERIFY_BRANCH),
         (["verify", "all", "theorem"], _on("verify", "all")),
         (["verify", "eq3", "-h"], _on("verify", "eq3")),
         (["series", "-h"], _on("series")),
+        # verify argvs that argparse reads: the = form and an abbreviation
+        (["verify", "all", "--max-n=1524"], _on("verify", "all")),
+        (["verify", "eq3", "--order=3"], _on("verify", "eq3")),
+        (["verify", "theorem", "--max", "3"], _on("verify", "theorem")),
     ],
 )
 def test_a_path_build_prints_as_the_whole_tree(capsys, monkeypatch, built, argv, path):
@@ -336,13 +343,78 @@ def test_a_path_build_prints_as_the_whole_tree(capsys, monkeypatch, built, argv,
 
 
 def test_a_run_builds_only_the_parsers_its_argv_names(capsys, monkeypatch, built):
-    argv = ["verify", "eq3", "--order", "3"]
+    canonical = run_cli(capsys, ["verify", "eq3", "--order", "3"])
+    assert built == []
+    argv = ["verify", "eq3", "--order=3"]
     on_path = run_cli(capsys, argv)
+    assert on_path == canonical
     assert built == ["qbell", "qbell verify", "qbell verify eq3"]
     built.clear()
     _build_whole_tree(monkeypatch)
     assert run_cli(capsys, argv) == on_path
     assert built == list(_WHOLE_TREE) and len(built) == 12
+
+
+def _canonical_verify_argvs():
+    """Each target at 0, 1, its cap, its cap plus one and with leading zeros; verify all
+    with every subset of its flags, in every order."""
+    for t in cli._VERIFY_TARGETS:
+        for text in ("0", "1", str(t.cap), str(t.cap + 1), "007", "0" * DIGIT_LIMIT):
+            yield ["verify", t.name, t.flag, text]
+    values = dict(zip(cli._VERIFY_ALL_SIZES, ("3", "0012", "18182")))
+    for k in range(len(values) + 1):
+        for flags in permutations(values, k):
+            yield ["verify", "all", *(word for f in flags for word in (f, values[f]))]
+
+
+# argvs that must go through argparse: each one's errors and help are argparse's own
+_ARGPARSE_VERIFY_ARGVS = [
+    ["verify", "theorem", "--max-n=5"],
+    ["verify", "all", "--order=5"],
+    ["verify", "theorem", "--max-n", "-5"],
+    ["verify", "theorem", "--max-n", "+5"],
+    ["verify", "all", "--max-k", "-1"],
+    ["verify", "theorem", "--max", "5"],
+    ["verify", "all", "--ord", "5"],
+    ["verify", "theorem", "--max-n", "3", "--max-n", "4"],
+    ["verify", "all", "--order", "3", "--max-n", "1", "--order", "4"],
+    ["verify", "theorem", "--order", "5"],
+    ["verify", "eq2", "--max-k", "5"],
+    ["verify", "congruences", "--max-n", "5"],
+    ["verify", "theorem", "--max-n", "5", "junk"],
+    ["verify", "all", "--max-n", "5", "junk"],
+    ["verify", "all", "theorem"],
+    ["verify", "theorem"],
+    ["verify"],
+    ["verify", "nothing", "--max-n", "3"],
+    ["verify", "-h"],
+    ["verify", "theorem", "-h"],
+    ["verify", "theorem", "--max-n", "-h"],
+    ["verify", "all", "--help"],
+    ["verify", "all", "--max-n", "3", "-h", "3"],
+    ["verify", "--", "theorem", "--max-n", "3"],
+    ["verify", "theorem", "--", "--max-n", "3"],
+    ["verify", "theorem", "--max-n", "--", "3"],
+    ["verify", "theorem", "--max-n", "\u0663"],
+    ["verify", "theorem", "--max-n", "\uff11\uff12"],
+    ["verify", "theorem", "--max-n", "1_0"],
+    ["verify", "theorem", "--max-n", " 5"],
+    ["verify", "theorem", "--max-n", ""],
+    ["verify", "congruences", "--max-k", "1" * (DIGIT_LIMIT + 1)],
+    ["verify", "all", "--max-k", "0" * (DIGIT_LIMIT + 1)],
+    ["-h", "verify", "theorem", "--max-n", "3"],
+    ["theorem", "--max-n", "3"],
+    [],
+]
+
+
+def test_a_canonical_verify_argv_gives_argparse_namespace_and_no_other_does():
+    for argv in _canonical_verify_argvs():
+        fast = cli._verify_args(argv)
+        assert fast is not None, argv
+        assert vars(fast) == vars(cli.build_parser(argv).parse_args(argv)), argv
+    for argv in _ARGPARSE_VERIFY_ARGVS:
+        assert cli._verify_args(argv) is None, argv
 
 
 def test_verify_all_emits_array(capsys):
@@ -793,6 +865,21 @@ def test_importing_the_front_end_loads_only_what_it_runs():
         [sys.executable, "-S", "-c", check], capture_output=True, text=True, check=True
     )
     assert proc.stdout == "[]\n"
+
+
+def test_a_canonical_verify_run_imports_no_locale():
+    # -S keeps site's own imports out; argparse's first gettext lookup imports locale
+    check = (
+        "import sys, io, contextlib\n"
+        "from qbell.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, 'locale' in sys.modules)\n"
+    )
+    for argv, loaded in [(["--max-n", "3"], False), (["--max-n=3"], True)]:
+        proc = subprocess.run([sys.executable, "-S", "-c", check, "verify", "theorem", *argv],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == f"0 {loaded}\n"
 
 
 def test_module_invocation_usage_error():
