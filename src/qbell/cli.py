@@ -5,22 +5,16 @@ coefficient per line; ``verify`` prints a JSON report and exits 0 only when
 every check passed.  Diagnostics go to stderr, output is byte-identical
 across runs.
 
-Each leaf of the parser tree, ``_TREE``, declares its handler ``run``
-(returning the exit code, None for 0) and its ``bounds``, rows of (label,
-dest, smallest or None, largest) accepted size; ``main`` checks every bound
+Each leaf parser of ``build_parser`` sets its handler ``run`` (returning
+the exit code, None for 0) and its ``bounds``, rows of (label, dest,
+smallest or None, largest) accepted size; ``main`` checks every bound
 before it calls the handler.
 
 A canonical verify argv, ``verify eq3 --order 400`` or ``verify all``
 with any of its flags, each once with a plain digit value, builds no
 parser: ``_verify_args`` gives the namespace argparse would, from the same
-target rows, and ``main`` checks its bounds as any other.  Any other argv
-walks the tree once, building at each level only the command that its argv
-names there, or every command where it names none: for ``verify eq3
---order=3`` the top parser, ``verify`` and ``eq3``, 3 of 12, and for
-``verify --help`` the top parser, ``verify`` and its five targets.  Every
-output stays byte-identical to the whole tree's: argparse reads argv down
-the commands it names and never reaches the parsers left out, and a level
-built for one command lists every choice in its usage line.
+``_verify_defaults`` as the verify leaves.  Any other argv builds the
+whole tree, 12 parsers, and parses with it.
 
 Exit codes: 0 success or verified, 1 a verification entry failed, 2 usage
 or parse error, 3 precondition violation, a size past its cap included.
@@ -31,7 +25,6 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from functools import partial
 from math import lcm
 
 from . import series
@@ -83,7 +76,7 @@ class _Target(namedtuple("_Target", "name help check cap")):
 
     @property
     def smallest(self) -> int:
-        # read when the parser is built, so a patched table entry is the bound
+        # read by _verify_defaults on either route, so a patched table entry is the bound
         return series.SMALLEST_SIZE[self.check.side]
 
 
@@ -120,79 +113,54 @@ def parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"zero denominator: {text!r}") from None
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The front end's parsers: at each level the command that argv names there, else all.
-
-    A level built for one command gives its subparsers action the whole
-    level's choices text as its metavar, so its usage line reads as the
-    whole tree's.  A level built whole keeps argparse's default, which names
-    the action by its dest in an invalid-choice error.  With no argv, the
-    whole tree.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The whole parser tree: the top parser, its six commands and the five verify targets."""
     parser = argparse.ArgumentParser(
         prog="qbell",
         description="Exact Bell polynomials, partition counts, divisor sums, "
         "and truncated q-series, with identity verification.",
     )
-    _declare_tree(parser, _TREE, argv)
-    return parser
+    sub = parser.add_subparsers(dest="command", required=True)
 
-
-def _declare_tree(parser: argparse.ArgumentParser, tree, argv) -> None:
-    """Add tree's subcommands to parser: the one argv's first word names, else all, each whole."""
-    dest, commands = tree
-    named = bool(argv) and argv[0] in commands
-    metavar = {"metavar": "{" + ",".join(commands) + "}"} if named else {}
-    sub = parser.add_subparsers(dest=dest, required=True, **metavar)
-    for name, (kwargs, declare) in commands.items():
-        if not named or name == argv[0]:
-            p = sub.add_parser(name, **kwargs)
-            if callable(declare):
-                declare(p)
-            else:
-                _declare_tree(p, declare, argv[1:] if named else ())
-
-
-def _declare_partition(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("partition", help="print p(n)")
     p.add_argument("n", type=_parse_int)
     p.set_defaults(run=lambda args: print(partition_count(args.n)), bounds=())
 
-
-def _declare_sigma(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("sigma", help="print the sum of divisors of n")
     p.add_argument("n", type=_parse_int)
     p.set_defaults(run=lambda args: print(sigma(args.n)), bounds=())
 
-
-def _declare_coeff(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("coeff", help="print the coefficient d_n or e_n")
     p.add_argument("which", choices=("d", "e"))
     p.add_argument("n", type=_parse_int)
     p.set_defaults(run=_cmd_coeff, bounds=())
 
+    bell = sub.add_parser("bell", help="print the complete Bell polynomial B_n(x1, ..., xn)",
+                          description="Arguments are exact rationals, written num or num/den.")
+    bell.add_argument("n", type=_parse_int)
+    bell.add_argument("xs", nargs=argparse.REMAINDER, metavar="x")
+    bell.set_defaults(run=lambda args: _cmd_bell(bell, args),
+                      bounds=[("bell n", "n", None, _BELL_MAX_N)])
 
-def _declare_bell(p: argparse.ArgumentParser) -> None:
-    p.add_argument("n", type=_parse_int)
-    p.add_argument("xs", nargs=argparse.REMAINDER, metavar="x")
-    p.set_defaults(run=lambda args: _cmd_bell(p, args),
-                   bounds=[("bell n", "n", None, _BELL_MAX_N)])
-
-
-def _declare_series(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("series", help="print a truncated series, one coefficient per line")
     p.add_argument("which", choices=tuple(_SERIES))
     p.add_argument("--order", type=_parse_int, required=True)
     # the same G and H as verify eq3, so the same cap
     cap = series.size_cap(series.P7N5_SERIES)
     p.set_defaults(run=_cmd_series, bounds=[("series --order", "order", None, cap)])
 
-
-def _declare_target(target: _Target, p: argparse.ArgumentParser) -> None:
-    p.add_argument(target.flag, type=_parse_int, required=True)
-    p.set_defaults(**_verify_defaults([target]))
-
-
-def _declare_all(p: argparse.ArgumentParser) -> None:
+    v = sub.add_parser("verify", help="run a verification report (JSON on stdout)")
+    vsub = v.add_subparsers(dest="target", required=True)
+    for target in _VERIFY_TARGETS:
+        p = vsub.add_parser(target.name, help=target.help)
+        p.add_argument(target.flag, type=_parse_int, required=True)
+        p.set_defaults(**_verify_defaults([target]))
+    p = vsub.add_parser("all", help="every verification at full scale")
     for flag, size in _VERIFY_ALL_SIZES.items():
         p.add_argument(flag, type=_parse_int, default=size)
     p.set_defaults(**_verify_defaults(_VERIFY_TARGETS))
+
+    return parser
 
 
 def _verify_defaults(targets) -> dict:
@@ -224,23 +192,6 @@ def _verify_args(argv):
             return None
         sizes[dest] = parse_exact(text)
     return argparse.Namespace(command="verify", target=name, **sizes, **_verify_defaults(targets))
-
-
-# The parser tree, (dest, {name: (add_parser keywords, declare)}) in help order: a leaf's
-# declare adds its arguments and its defaults, a branch's is the tree of its subcommands.
-_TREE = ("command", {
-    "partition": ({"help": "print p(n)"}, _declare_partition),
-    "sigma": ({"help": "print the sum of divisors of n"}, _declare_sigma),
-    "coeff": ({"help": "print the coefficient d_n or e_n"}, _declare_coeff),
-    "bell": ({"help": "print the complete Bell polynomial B_n(x1, ..., xn)",
-              "description": "Arguments are exact rationals, written num or num/den."},
-             _declare_bell),
-    "series": ({"help": "print a truncated series, one coefficient per line"}, _declare_series),
-    "verify": ({"help": "run a verification report (JSON on stdout)"}, ("target", {
-        **{t.name: ({"help": t.help}, partial(_declare_target, t)) for t in _VERIFY_TARGETS},
-        "all": ({"help": "every verification at full scale"}, _declare_all),
-    })),
-})
 
 
 def _cmd_coeff(args: argparse.Namespace) -> None:
@@ -288,18 +239,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     """Run one invocation; returns the process exit code instead of exiting.
 
-    A canonical verify argv (see _verify_args) builds no parser.  With the
-    report's work warmed, a process's first call took 2.1-3.9 ms through
-    argparse, mostly the gettext lookups of its parser builds (the first
-    imports ``locale``), and 0.11-0.19 ms without (CPython 3.11.7, shared
-    2-vCPU host); over a whole ``verify all`` process, 100-120 ms, that is
-    within the noise.  Every other argv goes through build_parser.  Either
-    way the bounds are checked here, so every message and exit code is the
-    same on both routes.
+    A canonical verify argv (see _verify_args) builds no parser; every
+    other argv goes through build_parser.  Either way the bounds are checked
+    here, so every message and exit code is the same on both routes.
     """
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _verify_args(argv) or build_parser(argv).parse_args(argv)
+        args = _verify_args(argv) or build_parser().parse_args(argv)
         # every cap first, so a size past its cap is named whatever the others are
         for label, dest, _, cap in args.bounds:
             if getattr(args, dest) > cap:

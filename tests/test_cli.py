@@ -239,17 +239,10 @@ def test_unknown_command_usage_error_is_pinned(capsys, monkeypatch):
 
 _TARGETS = ("theorem", "eq2", "eq3", "congruences", "all")
 
-
-def _on(*words):
-    """The progs of the parsers from the top one down the commands named by words."""
-    return tuple(" ".join(("qbell", *words[:depth])) for depth in range(len(words) + 1))
-
-
-# the whole tree in build order, and the top parser, verify and each of its targets
-_WHOLE_TREE = (*_on(), *(f"qbell {command}" for command in (
+# the progs of the whole tree in build order: the top parser, each command, each verify target
+_WHOLE_TREE = ("qbell", *(f"qbell {command}" for command in (
     "partition", "sigma", "coeff", "bell", "series", "verify")),
     *(f"qbell verify {target}" for target in _TARGETS))
-_VERIFY_BRANCH = (*_on("verify"), *(f"qbell verify {target}" for target in _TARGETS))
 
 
 @pytest.fixture
@@ -266,41 +259,35 @@ def built(monkeypatch):
     return progs
 
 
-def _build_whole_tree(monkeypatch):
-    # every argv through argparse, and the whole tree built for it
-    whole = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda argv: whole())
-    monkeypatch.setattr(cli, "_verify_args", lambda argv: None)
-
-
-# path: the progs of the parsers that the run builds; a canonical verify argv builds none
+# path: the progs of the parsers that the run builds, none for a canonical verify argv
+# (cli._verify_args) and the whole tree, 12 parsers, for any other
 @pytest.mark.parametrize(
     "argv, path",
     [
-        # help at every level; an option first, or in place of a target, builds that level whole
+        # help at every level
         (["--help"], _WHOLE_TREE),
         (["-h", "verify"], _WHOLE_TREE),
-        (["partition", "--help"], _on("partition")),
-        (["sigma", "--help"], _on("sigma")),
-        (["coeff", "--help"], _on("coeff")),
-        (["bell", "--help"], _on("bell")),
-        (["series", "--help"], _on("series")),
-        (["verify", "--help"], _VERIFY_BRANCH),
-        (["verify", "-h", "theorem"], _VERIFY_BRANCH),
-        *[(["verify", name, "--help"], _on("verify", name)) for name in _TARGETS],
+        (["partition", "--help"], _WHOLE_TREE),
+        (["sigma", "--help"], _WHOLE_TREE),
+        (["coeff", "--help"], _WHOLE_TREE),
+        (["bell", "--help"], _WHOLE_TREE),
+        (["series", "--help"], _WHOLE_TREE),
+        (["verify", "--help"], _WHOLE_TREE),
+        (["verify", "-h", "theorem"], _WHOLE_TREE),
+        *[(["verify", name, "--help"], _WHOLE_TREE) for name in _TARGETS],
         # usage errors: the top parser's own usage, a bad int, missing arguments, bad choices
-        (["verify", "theorem", "--max-n", "5", "junk"], _on("verify", "theorem")),
-        (["partition", "abc"], _on("partition")),
-        (["partition"], _on("partition")),
-        (["verify", "theorem"], _on("verify", "theorem")),
-        (["series", "G"], _on("series")),
-        (["series", "cosine", "--order", "3"], _on("series")),
-        (["coeff", "q", "3"], _on("coeff")),
-        (["bell", "2", "4"], _on("bell")),
-        (["verify", "all", "--order", "x"], _on("verify", "all")),
-        (["verify"], _VERIFY_BRANCH),
-        (["verify", "nothing", "--max-n", "3"], _VERIFY_BRANCH),
-        (["verify", "--", "theorem", "--max-n", "3"], _VERIFY_BRANCH),
+        (["verify", "theorem", "--max-n", "5", "junk"], _WHOLE_TREE),
+        (["partition", "abc"], _WHOLE_TREE),
+        (["partition"], _WHOLE_TREE),
+        (["verify", "theorem"], _WHOLE_TREE),
+        (["series", "G"], _WHOLE_TREE),
+        (["series", "cosine", "--order", "3"], _WHOLE_TREE),
+        (["coeff", "q", "3"], _WHOLE_TREE),
+        (["bell", "2", "4"], _WHOLE_TREE),
+        (["verify", "all", "--order", "x"], _WHOLE_TREE),
+        (["verify"], _WHOLE_TREE),
+        (["verify", "nothing", "--max-n", "3"], _WHOLE_TREE),
+        (["verify", "--", "theorem", "--max-n", "3"], _WHOLE_TREE),
         ([], _WHOLE_TREE),
         (["nope"], _WHOLE_TREE),
         # each cap plus one
@@ -309,50 +296,39 @@ def _build_whole_tree(monkeypatch):
         (["verify", "eq3", "--order", "28571"], ()),
         (["verify", "congruences", "--max-k", "18182"], ()),
         (["verify", "all", "--max-n", "1524"], ()),
-        (["series", "H", "--order", "28571"], _on("series")),
-        (["bell", "1001", *["1"] * 1001], _on("bell")),
-        (["partition", "200001"], _on("partition")),
+        (["series", "H", "--order", "28571"], _WHOLE_TREE),
+        (["bell", "1001", *["1"] * 1001], _WHOLE_TREE),
+        (["partition", "200001"], _WHOLE_TREE),
         # passing runs
-        (["partition", "12"], _on("partition")),
-        (["sigma", "12"], _on("sigma")),
-        (["coeff", "d", "7"], _on("coeff")),
-        (["bell", "2", "4", "12"], _on("bell")),
-        (["series", "G", "--order", "5"], _on("series")),
+        (["partition", "12"], _WHOLE_TREE),
+        (["sigma", "12"], _WHOLE_TREE),
+        (["coeff", "d", "7"], _WHOLE_TREE),
+        (["bell", "2", "4", "12"], _WHOLE_TREE),
+        (["series", "G", "--order", "5"], _WHOLE_TREE),
         (["verify", "theorem", "--max-n", "3"], ()),
         (["verify", "eq3", "--order", "3"], ()),
         (["verify", "all", "--max-n", "3", "--order", "3", "--max-k", "3"], ()),
         # a branch named but no target, and extra words or help after a leaf
-        (["verify", "-h"], _VERIFY_BRANCH),
-        (["verify", "--max-n", "3"], _VERIFY_BRANCH),
-        (["verify", "all", "theorem"], _on("verify", "all")),
-        (["verify", "eq3", "-h"], _on("verify", "eq3")),
-        (["series", "-h"], _on("series")),
+        (["verify", "-h"], _WHOLE_TREE),
+        (["verify", "--max-n", "3"], _WHOLE_TREE),
+        (["verify", "all", "theorem"], _WHOLE_TREE),
+        (["verify", "eq3", "-h"], _WHOLE_TREE),
+        (["series", "-h"], _WHOLE_TREE),
         # verify argvs that argparse reads: the = form and an abbreviation
-        (["verify", "all", "--max-n=1524"], _on("verify", "all")),
-        (["verify", "eq3", "--order=3"], _on("verify", "eq3")),
-        (["verify", "theorem", "--max", "3"], _on("verify", "theorem")),
+        (["verify", "all", "--max-n=1524"], _WHOLE_TREE),
+        (["verify", "eq3", "--order=3"], _WHOLE_TREE),
+        (["verify", "theorem", "--max", "3"], _WHOLE_TREE),
     ],
 )
 def test_a_path_build_prints_as_the_whole_tree(capsys, monkeypatch, built, argv, path):
-    # the same exit code, stdout and stderr from the parsers argv names as from all of them
+    # the same exit code, stdout and stderr on the run's route as through argparse
     monkeypatch.setenv("COLUMNS", "80")
     on_path = run_cli(capsys, argv)
     assert tuple(built) == path
-    _build_whole_tree(monkeypatch)
-    assert run_cli(capsys, argv) == on_path
-
-
-def test_a_run_builds_only_the_parsers_its_argv_names(capsys, monkeypatch, built):
-    canonical = run_cli(capsys, ["verify", "eq3", "--order", "3"])
-    assert built == []
-    argv = ["verify", "eq3", "--order=3"]
-    on_path = run_cli(capsys, argv)
-    assert on_path == canonical
-    assert built == ["qbell", "qbell verify", "qbell verify eq3"]
     built.clear()
-    _build_whole_tree(monkeypatch)
+    monkeypatch.setattr(cli, "_verify_args", lambda argv: None)
     assert run_cli(capsys, argv) == on_path
-    assert built == list(_WHOLE_TREE) and len(built) == 12
+    assert tuple(built) == _WHOLE_TREE
 
 
 def _canonical_verify_argvs():
@@ -412,7 +388,7 @@ def test_a_canonical_verify_argv_gives_argparse_namespace_and_no_other_does():
     for argv in _canonical_verify_argvs():
         fast = cli._verify_args(argv)
         assert fast is not None, argv
-        assert vars(fast) == vars(cli.build_parser(argv).parse_args(argv)), argv
+        assert vars(fast) == vars(cli.build_parser().parse_args(argv)), argv
     for argv in _ARGPARSE_VERIFY_ARGVS:
         assert cli._verify_args(argv) is None, argv
 
