@@ -331,6 +331,18 @@ def test_a_path_build_prints_as_the_whole_tree(capsys, monkeypatch, built, argv,
     assert tuple(built) == _WHOLE_TREE
 
 
+def test_a_run_builds_only_the_parsers_its_argv_names(capsys, monkeypatch, built):
+    # a canonical verify argv names no parser; any other argv builds the whole tree once
+    canonical = run_cli(capsys, ["verify", "eq3", "--order", "3"])
+    assert built == []
+    assert run_cli(capsys, ["verify", "eq3", "--order=3"]) == canonical
+    assert built == list(_WHOLE_TREE) and len(built) == 12
+    built.clear()
+    monkeypatch.setattr(cli, "_verify_args", lambda argv: None)
+    assert run_cli(capsys, ["verify", "eq3", "--order", "3"]) == canonical
+    assert built == list(_WHOLE_TREE)
+
+
 def _canonical_verify_argvs():
     """Each target at 0, 1, its cap, its cap plus one and with leading zeros; verify all
     with every subset of its flags, in every order."""
