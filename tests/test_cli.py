@@ -19,7 +19,7 @@ from conftest import int_max_str_digits
 from qbell import cli
 from qbell.identity import verify_congruences, verify_theorem
 from qbell.partitions import partition_count
-from qbell.reports import DIGIT_LIMIT, format_exact, write_json
+from qbell.reports import DIGIT_LIMIT, VerificationReport, format_exact, write_json
 from qbell.series import TruncatedSeries, verify_p5k4_identity, verify_p7n5_identity
 
 
@@ -129,11 +129,15 @@ def test_verify_congruences_json(capsys):
     assert all(entry["pass"] for entry in doc["entries"])
 
 
+CONGRUENCES_5000 = (["verify", "congruences", "--max-k", "5000"],
+                    "0e7f7392d4ff9ad40a0dcbb17d9b75668b83683bde9ebc85f8df8320c2cc7247")
+
+
 def test_verify_congruences_output_bytes_are_pinned(capsys):
-    code, out, err = run_cli(capsys, ["verify", "congruences", "--max-k", "5000"])
+    argv, digest = CONGRUENCES_5000
+    code, out, err = run_cli(capsys, argv)
     assert (code, err) == (0, "")
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "0e7f7392d4ff9ad40a0dcbb17d9b75668b83683bde9ebc85f8df8320c2cc7247"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 PINNED_OUTPUTS = [
@@ -161,15 +165,35 @@ def test_verify_output_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv, digest", [p for p in PINNED_OUTPUTS if p[0][1] in ("all", "G")])
-def test_verify_all_and_series_run_no_dense_series_algebra(capsys, monkeypatch, argv, digest):
-    # both sides build on int lists: no product, sum, monomial, zero or spread of a series
-    def dense(*args):
-        raise AssertionError("ran dense series algebra")
+# the oracles and the dense series algebra serve only checks: no command reaches them
+_ORACLES = ("partition_count_brute", "partial_bell_by_enumeration", "complete_bell_sequence",
+            "extract_log_coefficients", "seven_adic_split", "sigma_ratio")
+_DENSE_SERIES = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                 "__truediv__", "inverse", "substitute_power", "monomial", "log", "exp", "zero")
+_SMALL_RUNS = [(["partition", "12"], "77\n"), (["sigma", "12"], "28\n"),
+               (["coeff", "d", "7"], "11/7\n"), (["coeff", "e", "3"], "32/3\n"),
+               (["bell", "2", "4", "12"], "28\n")]
 
-    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "monomial", "zero",
-                 "substitute_power"):
-        monkeypatch.setattr(TruncatedSeries, name, dense)
+
+@pytest.mark.parametrize("argv, digest", [
+    *PINNED_OUTPUTS, CONGRUENCES_5000,
+    *[(argv, hashlib.sha256(out.encode()).hexdigest()) for argv, out in _SMALL_RUNS],
+])
+def test_commands_reach_no_oracle(capsys, monkeypatch, argv, digest):
+    def oracle(*args, **kwargs):
+        raise AssertionError("ran an oracle")
+
+    # every name that any qbell module binds to an oracle, the package's re-exports included
+    modules = [m for name, m in sys.modules.items() if name.partition(".")[0] == "qbell"]
+    oracles = {id(getattr(m, name)) for m in modules for name in _ORACLES if hasattr(m, name)}
+    assert len(oracles) == len(_ORACLES)
+    for module in modules:
+        for name, value in list(vars(module).items()):
+            if id(value) in oracles:
+                monkeypatch.setattr(module, name, oracle)
+    monkeypatch.setattr(VerificationReport, "to_json_dict", oracle)
+    for name in _DENSE_SERIES:
+        monkeypatch.setattr(TruncatedSeries, name, oracle)
     code, out, err = run_cli(capsys, argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -331,7 +355,8 @@ def test_a_path_build_prints_as_the_whole_tree(capsys, monkeypatch, built, argv,
     assert tuple(built) == _WHOLE_TREE
 
 
-def test_a_run_builds_only_the_parsers_its_argv_names(capsys, monkeypatch, built):
+def test_a_canonical_verify_run_builds_no_parser_and_prints_as_argparse(
+        capsys, monkeypatch, built):
     # a canonical verify argv names no parser; any other argv builds the whole tree once
     canonical = run_cli(capsys, ["verify", "eq3", "--order", "3"])
     assert built == []
@@ -542,8 +567,6 @@ def test_precondition_errors_exit_three(capsys, argv):
 @pytest.fixture
 def stub_reports(monkeypatch):
     """Replace every verify report by a stub; returns the (target, size) calls."""
-    from qbell.reports import VerificationReport
-
     ran = []
 
     def stub(label):
@@ -601,8 +624,6 @@ def test_verify_lower_bounds_are_checked_before_any_report(capsys, request, argv
 
 
 def test_verify_all_exits_1_when_any_one_report_fails(capsys, monkeypatch, stub_reports):
-    from qbell.reports import VerificationReport
-
     failing = VerificationReport.from_rows("eq2", [(0, 1, 2)])
     stub = cli.series.residue_class_report
 
@@ -780,7 +801,7 @@ def test_bell_work_bound_holds_without_the_digit_limit(capsys):
 
 
 def test_verification_failure_exits_one(capsys, monkeypatch):
-    from qbell.reports import CheckEntry, VerificationReport
+    from qbell.reports import CheckEntry
 
     def broken(check, max_n):
         return VerificationReport(

@@ -1,6 +1,7 @@
 """Structural rules of the runtime, read from the AST of every module in qbell:
 it imports only the standard library and its own modules, absolute or
-relative, and it holds no float."""
+relative, it holds no float, and each true division sits where it is listed
+with its reason."""
 
 import ast
 import sys
@@ -18,6 +19,14 @@ FLOAT_MATH = frozenset({
     "log2", "modf", "nan", "nextafter", "pi", "pow", "radians", "remainder", "sin", "sinh",
     "sqrt", "tan", "tanh", "tau", "ulp",
 })
+
+# (module, function) of every true division, with why its result is exact: int / int is a float
+DIVISIONS = {
+    ("bell", "partial_bell"): "a Fraction x_i by i!",
+    ("bell", "partial_bell_by_enumeration"): "a Fraction (x_i / i!)^j by j!",
+    ("series", "_quotient"): "a Fraction by an int or a Fraction",
+    ("series", "extract_log_coefficients"): "a series by its row's int scale",
+}
 
 
 def _nodes():
@@ -63,3 +72,22 @@ def test_no_float_literal_float_call_or_float_math_name():
               and node.value.id in math_names and node.attr in FLOAT_MATH):
             wrong.append((where, f"math.{node.attr}"))
     assert wrong == []
+
+
+def _divisions():
+    """(module, innermost enclosing function or None, line) for every true division."""
+    def walk(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div):
+                yield module, function, child.lineno
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from walk(child, module, child.name if named else function)
+
+    for path in MODULES:
+        yield from walk(ast.parse(path.read_text(), str(path)), path.stem, None)
+
+
+def test_every_true_division_is_listed():
+    found = list(_divisions())
+    assert [where for where in found if where[:2] not in DIVISIONS] == []
+    assert {where[:2] for where in found} == set(DIVISIONS)  # and no row is stale
